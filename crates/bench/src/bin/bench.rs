@@ -11,10 +11,11 @@
 //! * **transient steps/sec** of the spatial transient engine per grid size — the hot
 //!   loop of the `tsc3d-sca` trace simulations (one sca trace is a few hundred steps, so
 //!   traces/sec is this number divided by the configured dwell's step count),
-//! * **traces/sec** of the end-to-end sca attack (flow → trace simulation → streaming
-//!   CPA) per attack grid size and batch size, batched engine vs. the per-trace
-//!   reference — the number the `tsc3d-sca` batching tentpole is accountable to. The
-//!   harness asserts both engines return the identical `ScaOutcome` before timing them.
+//! * **traces/sec** of the end-to-end sca attack (network build → adjoint kernel pass →
+//!   trace evaluation → streaming CPA) per attack grid size, the adjoint engine vs. the
+//!   stepped oracle at lockstep batch size `batch`. Before timing, the harness asserts
+//!   both engines return the same MTD, recovered bytes and target, with best
+//!   correlations within 1e-9.
 //!
 //! Methodology: every section runs one untimed warmup pass, then takes the best of
 //! `--reps` timed repetitions. On a loaded (or single-CPU) box a single cold run can
@@ -28,14 +29,14 @@
 //!       [--json PATH]         # write a fresh single-entry trajectory document
 //!       [--append PATH]       # append this run as a new entry to an existing trajectory
 //!       [--baseline PATH]     # print a delta table against the last entry of PATH
-//!       [--gate-traces FRAC]  # exit 1 when batched traces/sec regresses by more than
+//!       [--gate-traces FRAC]  # exit 1 when adjoint traces/sec regresses by more than
 //!                             # FRAC vs the baseline's last entry with a traces section
 //! ```
 //!
 //! CI runs two passes: a full informational sweep (`bench --smoke --json
 //! target/bench/BENCH_flow.json --baseline BENCH_flow.json`) and a gating pass
 //! (`bench --smoke --only traces --reps 4 --baseline BENCH_flow.json --gate-traces
-//! 0.25`). Only the traces/sec section gates (the batched engine is this repo's
+//! 0.25`). Only the traces/sec section gates (the sca trace engine is this repo's
 //! headline perf claim), and the gating pass runs it alone at best-of-4 so one noisy
 //! timing sample on a loaded runner cannot flake the check; every other section stays
 //! informational because seeded end-to-end numbers on shared runners are too noisy to
@@ -87,7 +88,8 @@ struct TransientSample {
     steps_per_sec: f64,
 }
 
-/// One end-to-end sca trace-throughput sample (batched vs. per-trace reference).
+/// One end-to-end sca trace-throughput sample (adjoint engine vs. the stepped oracle at
+/// lockstep batch `batch`).
 struct TraceSample {
     grid: usize,
     batch: usize,
@@ -225,7 +227,7 @@ fn main() {
         }
     }
 
-    // End-to-end sca trace throughput: batched engine vs. the per-trace reference.
+    // End-to-end sca trace throughput: adjoint engine vs. the stepped oracle.
     let mut trace_samples = Vec::new();
     if section_enabled(&only, "traces") {
         let (design, flow) = trace_fixture();
@@ -234,7 +236,7 @@ fn main() {
                 let sample = measure_traces(&design, &flow, grid, batch, smoke, reps);
                 println!(
                     "  traces grid {grid} batch {batch}: {:.0} traces/s \
-                     (reference {:.0}, {:.2}x)",
+                     (stepped {:.0}, {:.2}x)",
                     sample.traces_per_sec,
                     sample.reference_traces_per_sec,
                     sample.traces_per_sec / sample.reference_traces_per_sec
@@ -299,10 +301,11 @@ fn main() {
     }
 }
 
-/// The gating check of the traces/sec section: every batched (grid, batch) cell must stay
-/// within `frac` of the baseline's last entry that has a traces section. Returns `true`
-/// (pass) when the baseline has no traces section yet — the first gated run establishes
-/// the trajectory rather than failing on its absence.
+/// The gating check of the traces/sec section: every measured (grid, batch) cell must
+/// stay within `frac` of the same cell in the baseline's last entry that has a traces
+/// section. A cell the baseline lacks fails the gate (reshaped rows must not silently
+/// disable it). Returns `true` (pass) when the baseline has no traces section yet — the
+/// first gated run establishes the trajectory rather than failing on its absence.
 fn gate_traces(baseline_doc: &Json, samples: &[TraceSample], frac: f64) -> bool {
     let Some(entries) = baseline_doc.get("entries").and_then(Json::as_array) else {
         println!("bench: baseline holds no entries; traces gate skipped");
@@ -326,6 +329,12 @@ fn gate_traces(baseline_doc: &Json, samples: &[TraceSample], frac: f64) -> bool 
             .and_then(|b| b.get("traces_per_sec"))
             .and_then(Json::as_f64)
         else {
+            println!(
+                "bench: GATE FAIL traces grid {} batch {}: no matching cell in baseline \
+                 '{base_label}'",
+                sample.grid, sample.batch
+            );
+            pass = false;
             continue;
         };
         let floor = base_rate * (1.0 - frac);
@@ -368,9 +377,9 @@ fn trace_fixture() -> (Design, FlowResult) {
     (design, flow)
 }
 
-/// Best-of-`reps` end-to-end attack throughput at attack grid `grid`², batched at `batch`
-/// traces per chunk vs. the per-trace reference engine. Asserts bit-identity between the
-/// two engines before timing.
+/// Best-of-`reps` end-to-end attack throughput at attack grid `grid`²: the adjoint engine
+/// vs. the stepped oracle at `batch` traces per lockstep batch. Asserts the engines agree
+/// (exact MTD, recovered bytes and target, |Δr| ≤ 1e-9) before timing.
 fn measure_traces(
     design: &Design,
     flow: &FlowResult,
@@ -398,28 +407,29 @@ fn measure_traces(
         )
         .expect("bench attack runs")
     };
-    let batched_engine = TraceEngine::Batched {
+    let stepped = TraceEngine::Stepped {
         batch_traces: batch,
     };
-    // The engines must agree bit for bit before their speeds are worth comparing.
-    assert_eq!(
-        attack(batched_engine),
-        attack(TraceEngine::Reference),
-        "batched and reference sca engines diverged at grid {grid} batch {batch}"
+    // The engines must agree before their speeds are worth comparing.
+    let (adjoint, oracle) = (attack(TraceEngine::Adjoint), attack(stepped));
+    assert!(
+        adjoint.mtd_traces() == oracle.mtd_traces()
+            && adjoint.recovered_bytes() == oracle.recovered_bytes()
+            && adjoint.target_module == oracle.target_module
+            && (adjoint.best_correlation() - oracle.best_correlation()).abs() <= 1e-9,
+        "adjoint and stepped sca engines diverged at grid {grid} batch {batch}"
     );
-    let mut traces_per_sec = 0.0f64;
-    for _ in 0..reps {
-        let start = Instant::now();
-        let _ = attack(batched_engine);
-        traces_per_sec = traces_per_sec.max(config.traces as f64 / start.elapsed().as_secs_f64());
-    }
-    let mut reference_traces_per_sec = 0.0f64;
-    for _ in 0..reps {
-        let start = Instant::now();
-        let _ = attack(TraceEngine::Reference);
-        reference_traces_per_sec =
-            reference_traces_per_sec.max(config.traces as f64 / start.elapsed().as_secs_f64());
-    }
+    let rate = |engine: TraceEngine| {
+        let mut best = 0.0f64;
+        for _ in 0..reps {
+            let start = Instant::now();
+            let _ = attack(engine);
+            best = best.max(config.traces as f64 / start.elapsed().as_secs_f64());
+        }
+        best
+    };
+    let traces_per_sec = rate(TraceEngine::Adjoint);
+    let reference_traces_per_sec = rate(stepped);
     TraceSample {
         grid,
         batch,

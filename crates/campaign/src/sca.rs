@@ -204,7 +204,8 @@ pub struct ScaJobMetrics {
     pub best_correlation: f64,
     /// Traces observed.
     pub traces: f64,
-    /// Transient grid steps simulated.
+    /// Transient kernel lane-steps of the attack: substeps × sensors for the adjoint
+    /// engine's one pass (one lane per sensor), independent of the trace count.
     pub transient_steps: f64,
     /// Dummy TSVs of the flow's final plan (0 for baseline jobs by construction of the
     /// attack's TSV fields, but recorded from the flow for context).
@@ -660,7 +661,11 @@ impl FlowCache {
                 .entry((job.benchmark, job.seed))
                 .or_default(),
         );
-        let mut guard = slot.lock().expect("flow cache slot");
+        // Same-group jobs block here while the first one runs the flow.
+        let mut guard = {
+            let _span = tsc3d_obs::span!("flow_cache_wait");
+            slot.lock().expect("flow cache slot")
+        };
         if let Some(product) = guard.as_ref() {
             return Arc::clone(product);
         }

@@ -379,6 +379,32 @@ impl PowerStamps {
             start = end;
         }
     }
+
+    /// The transpose of [`PowerStamps::power_maps_into`]: per block, `Σ weight[bin] ·
+    /// overlap / area` over its stamps. For a readout linear in the power maps with
+    /// per-bin sensitivities `weights` (one map per die), the readout of `block_powers`
+    /// is `Σ_block block_weights[block] · block_powers[block]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `weights` does not hold one map per die on the stamps' grid.
+    pub fn block_weights(&self, weights: &[GridMap]) -> Vec<f64> {
+        assert_eq!(weights.len(), self.dies, "one weight map per die required");
+        assert!(
+            weights.iter().all(|m| m.grid() == self.grid),
+            "weight maps must lie on the stamps' grid"
+        );
+        let mut out = vec![0.0; self.blocks];
+        let mut start = 0;
+        for (map, &end) in weights.iter().zip(&self.die_ends) {
+            let values = map.values();
+            for stamp in &self.stamps[start..end] {
+                out[stamp.block] += values[stamp.bin] * stamp.overlap / stamp.rect_area;
+            }
+            start = end;
+        }
+        out
+    }
 }
 
 #[cfg(test)]
@@ -521,6 +547,39 @@ mod tests {
                     assert_eq!(a.values(), b.values(), "{bins} bins");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn block_weights_are_the_transpose_of_the_splat() {
+        let fp = floorplan();
+        let grid = fp.analysis_grid(7);
+        let stamps = fp.power_stamps(grid);
+        // Arbitrary per-bin sensitivities on both dies.
+        let weights: Vec<GridMap> = (0..2)
+            .map(|die| {
+                let values = (0..grid.bins())
+                    .map(|b| 1.0 + 0.37 * b as f64 - 2.5 * die as f64)
+                    .collect();
+                GridMap::from_values(grid, values)
+            })
+            .collect();
+        let per_block = stamps.block_weights(&weights);
+        for powers in [[1.0, 2.0, 0.5], [0.0, 7.25, 1e-3]] {
+            let maps = fp.power_maps(grid, &powers);
+            let by_bin: f64 = weights
+                .iter()
+                .zip(&maps)
+                .map(|(w, m)| {
+                    w.values()
+                        .iter()
+                        .zip(m.values())
+                        .map(|(w, p)| w * p)
+                        .sum::<f64>()
+                })
+                .sum();
+            let by_block: f64 = per_block.iter().zip(&powers).map(|(w, p)| w * p).sum();
+            assert!((by_bin - by_block).abs() <= 1e-12 * by_bin.abs().max(1.0));
         }
     }
 

@@ -167,32 +167,13 @@ struct ByteAccumulator {
     best_at_checkpoint: Vec<u8>,
 }
 
-/// A sink for simulated traces, delivered one at a time **in trace order**.
-///
-/// The streaming counterpart of assembling a [`TraceSet`]: the batched scenario engine
-/// feeds each trace's plaintexts and samples into a consumer the moment they exist, so
-/// whole trace sets never materialise. [`TraceSet`] implements the trait (materialise
-/// everything) and [`CpaAccumulator`] implements it by folding the trace into the CPA
-/// running sums — memory `O(points)` per trace instead of `O(traces × points)` total.
-pub trait TraceConsumer {
-    /// Consumes the next trace: one plaintext byte per attacked S-box, one sample per
-    /// observation point.
-    fn consume_trace(&mut self, plaintexts: &[u8], samples: &[f64]);
-}
-
-impl TraceConsumer for TraceSet {
-    fn consume_trace(&mut self, plaintexts: &[u8], samples: &[f64]) {
-        self.push_trace(plaintexts, samples);
-    }
-}
-
 /// The streaming form of [`run_cpa`]: CPA running sums folded over traces as they
 /// arrive, producing the **identical** [`CpaResult`] (same loop body, same operand
 /// order) without ever materialising the trace set.
 ///
 /// The total trace count is declared up front (it fixes the disclosure checkpoints);
-/// feed exactly that many traces via [`TraceConsumer::consume_trace`] (or
-/// [`CpaAccumulator::push`]), then call [`CpaAccumulator::finish`].
+/// feed exactly that many traces via [`CpaAccumulator::push`], in trace order, then call
+/// [`CpaAccumulator::finish`].
 pub struct CpaAccumulator {
     key: Vec<u8>,
     model: LeakageModel,
@@ -403,12 +384,6 @@ impl CpaAccumulator {
     }
 }
 
-impl TraceConsumer for CpaAccumulator {
-    fn consume_trace(&mut self, plaintexts: &[u8], samples: &[f64]) {
-        self.push(plaintexts, samples);
-    }
-}
-
 /// Runs CPA over a trace set against the known key, evaluating disclosure at
 /// `checkpoints` evenly spaced trace counts (the last one being the full set).
 ///
@@ -596,7 +571,7 @@ mod tests {
                 checkpoints,
             );
             for trace in 0..set.traces() {
-                acc.consume_trace(set.plaintext_row(trace), set.sample_row(trace));
+                acc.push(set.plaintext_row(trace), set.sample_row(trace));
             }
             assert_eq!(acc.seen(), set.traces());
             let streamed = acc.finish();

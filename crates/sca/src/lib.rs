@@ -17,9 +17,11 @@
 //!    to integrate the data-dependent power (Hamming-weight or Hamming-distance model),
 //!    plus Gaussian background traffic on every module (the
 //!    [`tsc3d_power::ActivitySampler`] convention).
-//! 2. **Transient thermal simulation**: the spatial engine
-//!    [`tsc3d_thermal::TransientSolver`] steps the flow's floorplan (power maps, signal
-//!    and dummy TSVs) through each trace's dwell.
+//! 2. **Transient thermal response**: temperature is a linear RC filter of power, and
+//!    each trace holds a constant power map over its dwell, so one adjoint pass of the
+//!    spatial engine ([`tsc3d_thermal::BatchTransientSolver::step_response`], one lane
+//!    per sensor) over the flow's floorplan (signal and dummy TSVs) yields a
+//!    `modules × points` weight matrix; a trace's readings are then `ambient + W·powers`.
 //! 3. **Sensors** ([`sensor`]): an `s × s` array on the exposed die, sampled at a finite
 //!    period, quantized and noisy (the [`tsc3d_attack::NoisyOracle`] noise conventions).
 //! 4. **CPA + MTD** ([`cpa`]): Pearson correlation of hypothetical leakage against the
@@ -28,9 +30,9 @@
 //!
 //! [`scenario::run_verdict`] ties it together: identical traces against both mitigation
 //! states of one flow, returning a [`ScaVerdict`]. Every stage is deterministic under a
-//! seed, with per-trace rng streams, so results are bit-identical for any
-//! [`tsc3d_exec::Pool`] worker count — the property the campaign layer's resumable,
-//! sharded sca jobs rely on.
+//! seed, with per-trace rng streams and a serial trace loop, so results are
+//! bit-identical for any [`tsc3d_exec::Pool`] worker count — the property the campaign
+//! layer's resumable, sharded sca jobs rely on.
 //!
 //! # Example
 //!
@@ -66,7 +68,8 @@ pub(crate) mod obs_metrics {
         pub attacks: tsc3d_obs::Counter,
         /// Simulated traces (observed encryptions) across all attacks.
         pub traces: tsc3d_obs::Counter,
-        /// Explicit-Euler transient steps across all attacks.
+        /// Transient kernel lane-steps across all attacks (substeps × lanes: one lane
+        /// per sensor for the adjoint engine, per trace for the stepped oracle).
         pub transient_steps: tsc3d_obs::Counter,
         /// CPA disclosure checkpoints evaluated.
         pub cpa_checkpoints: tsc3d_obs::Counter,
@@ -87,7 +90,7 @@ pub(crate) mod obs_metrics {
                 ),
                 transient_steps: registry.counter(
                     "tsc3d_sca_transient_steps_total",
-                    "Explicit-Euler transient steps performed by trace simulations",
+                    "Transient kernel lane-steps (substeps x lanes) performed by sca attacks",
                 ),
                 cpa_checkpoints: registry.counter(
                     "tsc3d_sca_cpa_checkpoints_total",
@@ -98,7 +101,7 @@ pub(crate) mod obs_metrics {
     }
 }
 
-pub use cpa::{run_cpa, ByteResult, CpaAccumulator, CpaResult, TraceConsumer, TraceSet};
+pub use cpa::{run_cpa, ByteResult, CpaAccumulator, CpaResult, TraceSet};
 pub use scenario::{
     attack_tsv_fields, resolve_target, run_attack, run_attack_with, run_on_flow, run_on_flow_with,
     run_on_flow_with_cancel, run_verdict, run_verdict_with_cancel, AttackConfig, Mitigation,
@@ -200,50 +203,44 @@ mod tests {
     }
 
     #[test]
-    fn batched_engine_is_bit_identical_to_the_reference_engine() {
+    fn adjoint_engine_matches_the_stepped_oracle() {
         let (design, flow) = flow_fixture();
         let config = test_config();
         for mitigation in [Mitigation::Baseline, Mitigation::DummyTsvs] {
-            let reference = run_on_flow_with(
-                design,
-                flow,
-                &config,
-                5,
-                11,
-                mitigation,
-                TraceEngine::Reference,
-                None,
-            )
-            .unwrap();
-            for batch in [1usize, 3, 8] {
-                let engine = TraceEngine::Batched {
-                    batch_traces: batch,
-                };
-                let serial =
-                    run_on_flow_with(design, flow, &config, 5, 11, mitigation, engine, None)
-                        .unwrap();
-                assert_eq!(serial, reference, "batch {batch}, serial, {:?}", mitigation);
-                for workers in [1usize, 4] {
-                    let pool = Pool::new(workers);
-                    let pooled = run_on_flow_with(
-                        design,
-                        flow,
-                        &config,
-                        5,
-                        11,
-                        mitigation,
-                        engine,
-                        Some(&pool),
-                    )
-                    .unwrap();
-                    assert_eq!(
-                        pooled, reference,
-                        "batch {batch}, {workers} workers, {:?}",
-                        mitigation
-                    );
-                    pool.shutdown();
-                }
+            let run = |engine| {
+                run_on_flow_with(design, flow, &config, 5, 11, mitigation, engine, None).unwrap()
+            };
+            let oracle = run(TraceEngine::Stepped { batch_traces: 8 });
+            // Stepped lanes never mix: the batch size cannot change a single bit.
+            for batch_traces in [1usize, 3] {
+                assert_eq!(
+                    run(TraceEngine::Stepped { batch_traces }),
+                    oracle,
+                    "stepped batch {batch_traces}, {mitigation:?}"
+                );
             }
+            let adjoint = run(TraceEngine::Adjoint);
+            assert_eq!(adjoint.mtd_traces(), oracle.mtd_traces(), "{mitigation:?}");
+            assert_eq!(adjoint.recovered_bytes(), oracle.recovered_bytes());
+            assert_eq!(adjoint.target_module, oracle.target_module);
+            assert_eq!(adjoint.cpa.traces, oracle.cpa.traces);
+            for (a, o) in adjoint.cpa.bytes.iter().zip(&oracle.cpa.bytes) {
+                assert_eq!((a.best_guess, a.rank), (o.best_guess, o.rank));
+                assert!(
+                    (a.best_correlation - o.best_correlation).abs() <= 1e-9,
+                    "{mitigation:?} byte {}: r {} vs {}",
+                    a.byte,
+                    a.best_correlation,
+                    o.best_correlation
+                );
+            }
+            // The adjoint pass costs one lane per sensor, not one per trace.
+            let sensors = config.sensors.sensors_per_axis.pow(2) as u64;
+            let lanes = config.traces as u64;
+            assert_eq!(
+                adjoint.transient_steps * lanes,
+                oracle.transient_steps * sensors
+            );
         }
     }
 
@@ -258,7 +255,7 @@ mod tests {
             5,
             11,
             Mitigation::Baseline,
-            TraceEngine::Batched { batch_traces: 0 },
+            TraceEngine::Stepped { batch_traces: 0 },
             None,
         )
         .unwrap_err();

@@ -7,16 +7,15 @@
 //! reporting the [`ScaVerdict`]: did the mitigation raise the attacker's
 //! measurements-to-disclosure?
 
-use crate::cpa::{run_cpa, CpaAccumulator, CpaResult, TraceConsumer, TraceSet};
+use crate::cpa::{CpaAccumulator, CpaResult};
 use crate::sensor::SensorConfig;
 use crate::workload::{derive_key, LeakageModel, Workload, WorkloadConfig};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use tsc3d::FlowResult;
-use tsc3d_exec::{chunk_ranges, CancelToken, Interrupt, Pool};
+use tsc3d_exec::{CancelToken, Interrupt, Pool};
 use tsc3d_floorplan::{plan_signal_tsvs, Floorplan, PowerStamps};
 use tsc3d_geometry::{DieId, Grid, GridMap, GridPos};
 use tsc3d_netlist::Design;
@@ -276,7 +275,8 @@ pub struct ScaOutcome {
     pub cpa: CpaResult,
     /// The module the workload keyed (index into the design's blocks).
     pub target_module: usize,
-    /// Transient grid steps simulated (the hot-loop count behind traces/sec).
+    /// Transient kernel lane-steps (substeps × lanes): one lane per sensor for the
+    /// adjoint engine, one per trace for the stepped oracle.
     pub transient_steps: u64,
 }
 
@@ -375,6 +375,7 @@ pub fn attack_tsv_fields(
     grid: Grid,
     mitigation: Mitigation,
 ) -> Vec<TsvField> {
+    let _span = tsc3d_obs::span!("attack_tsv_fields");
     let mut plan = plan_signal_tsvs(design, flow.floorplan(), grid);
     if mitigation == Mitigation::DummyTsvs {
         for (interface, field) in flow.final_tsv_plan.dummy().iter().enumerate() {
@@ -474,95 +475,31 @@ pub fn resolve_target(
     }
 }
 
-/// Default number of traces stepped in lockstep by the batched engine: amortises the
-/// per-node stepping overhead well while keeping the SoA field of a smoke-sized grid
-/// inside the L1/L2 working set.
-const DEFAULT_BATCH_TRACES: usize = 8;
+/// Traces per chunk: the unit of the `sca-batch` checkpoint and of the `trace_eval` /
+/// `cpa_fold` spans, so a fault plan's hit numbers mean `ceil(traces / 8)` chunks.
+const CHUNK_TRACES: usize = 8;
 
-/// Which trace-simulation engine evaluates the attack.
+/// Which thermal engine turns a trace's block powers into sensor temperatures.
 ///
-/// Both engines produce **bit-identical** [`ScaOutcome`]s for any batch size and worker
-/// count (equivalence-tested); the batched engine is simply faster, so it is the
-/// default everywhere. The reference engine is retained as the bit-tested baseline and
-/// for the `bench` harness's batched-vs-reference traces/sec comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Both engines draw every trace from the same per-trace rng stream, acquire it through
+/// the same sensor chain in the same order and fold the same streaming CPA; they differ
+/// only in the noise-free readings. Those agree within 1e-9 K per sample (the adjoint
+/// engine sums in a different order, so they are not bit-identical); verdicts — MTD,
+/// recovered bytes, target — are equivalence-tested equal for both mitigation states.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum TraceEngine {
-    /// Lockstep SoA batching: `batch_traces` traces share one conductance network and
-    /// advance through every Jacobi step together, with the CPA sums folded in
-    /// streaming (traces never materialise).
-    Batched {
-        /// Traces per lockstep batch (at least 1).
+    /// One adjoint kernel pass per attack
+    /// ([`BatchTransientSolver::step_response`], one lane per sensor), projected once
+    /// onto the floorplan's [`PowerStamps`]; each trace then costs `modules × points`
+    /// multiply-adds.
+    #[default]
+    Adjoint,
+    /// Every trace's transient integrated through the grid, `batch_traces` traces in
+    /// lockstep: the oracle the adjoint engine is tested and benchmarked against.
+    Stepped {
+        /// Traces per lockstep batch (at least 1); also the checkpoint chunk.
         batch_traces: usize,
     },
-    /// The scalar per-trace path: one [`TransientSolver`] state per trace, traces
-    /// materialised into a [`TraceSet`] before CPA.
-    Reference,
-}
-
-impl Default for TraceEngine {
-    fn default() -> Self {
-        TraceEngine::Batched {
-            batch_traces: DEFAULT_BATCH_TRACES,
-        }
-    }
-}
-
-/// The immutable context shared by every trace simulation of one evaluation.
-struct TraceContext {
-    solver: TransientSolver,
-    floorplan: Floorplan,
-    workload: Workload,
-    sensors: SensorConfig,
-    positions: Vec<GridPos>,
-    grid: Grid,
-    seed: u64,
-    sample_dt: f64,
-}
-
-/// One chunk's simulated traces, in trace order.
-struct ChunkTraces {
-    plaintexts: Vec<u8>,
-    samples: Vec<f64>,
-    steps: u64,
-}
-
-impl TraceContext {
-    /// Simulates the traces `range.0..range.1`, each from its own seeded rng, resetting
-    /// the (chunk-reused) state to ambient per trace.
-    fn simulate(&self, range: (usize, usize)) -> ChunkTraces {
-        let _span = tsc3d_obs::span!("trace_window");
-        let (lo, hi) = range;
-        let key_bytes = self.workload.config().key_bytes;
-        let points = self.sensors.points();
-        let mut out = ChunkTraces {
-            plaintexts: Vec::with_capacity((hi - lo) * key_bytes),
-            samples: Vec::with_capacity((hi - lo) * points),
-            steps: 0,
-        };
-        let mut state = self.solver.state();
-        let mut maps: Vec<GridMap> = Vec::new();
-        for trace in lo..hi {
-            let mut rng = ChaCha8Rng::seed_from_u64(trace_seed(self.seed, trace as u64));
-            let activity = self.workload.draw_trace(&mut rng);
-            self.floorplan
-                .power_maps_into(self.grid, &activity.powers, &mut maps);
-            self.solver.reset(&mut state);
-            self.solver
-                .set_power(&mut state, &maps)
-                .expect("power maps are built on the solver grid");
-            for _ in 0..self.sensors.samples_per_trace {
-                out.steps += self.solver.advance(&mut state, self.sample_dt) as u64;
-                for &pos in &self.positions {
-                    let true_t = self.solver.temperature_at(&state, self.sensors.die, pos);
-                    out.samples.push(self.sensors.acquire(true_t, &mut rng));
-                }
-            }
-            out.plaintexts.extend_from_slice(&activity.plaintexts);
-        }
-        tsc3d_obs::add_to_span("traces", (hi - lo) as u64);
-        tsc3d_obs::add_to_span("transient_steps", out.steps);
-        out
-    }
 }
 
 /// The per-trace seed: decorrelates consecutive trace indices (SplitMix64 finalizer).
@@ -575,196 +512,14 @@ fn trace_seed(seed: u64, trace: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The immutable context of the lockstep batched engine: one shared
-/// [`BatchTransientSolver`] (network and capacities built once per mitigation state) and
-/// the floorplan's precomputed [`PowerStamps`].
-struct BatchContext {
-    solver: BatchTransientSolver,
-    stamps: PowerStamps,
-    workload: Workload,
-    sensors: SensorConfig,
-    positions: Vec<GridPos>,
-    seed: u64,
-    sample_dt: f64,
-}
-
-impl BatchContext {
-    /// Simulates the traces `range.0..range.1` in lockstep, one lane per trace.
-    ///
-    /// Each lane owns the rng stream of its trace (seeded exactly as the scalar path)
-    /// and is stepped with the scalar per-node operation order, so every lane's samples
-    /// are bit-identical to a scalar simulation of that trace.
-    fn simulate(&self, range: (usize, usize)) -> ChunkTraces {
-        let _span = tsc3d_obs::span!("trace_window");
-        let (lo, hi) = range;
-        let lanes = hi - lo;
-        let key_bytes = self.workload.config().key_bytes;
-        let points = self.sensors.points();
-        let sensor_count = self.positions.len();
-        let mut out = ChunkTraces {
-            plaintexts: Vec::with_capacity(lanes * key_bytes),
-            samples: vec![0.0; lanes * points],
-            steps: 0,
-        };
-        let mut state = self.solver.state(lanes);
-        let mut rngs: Vec<ChaCha8Rng> = Vec::with_capacity(lanes);
-        let mut maps: Vec<GridMap> = Vec::new();
-        for (lane, trace) in (lo..hi).enumerate() {
-            let mut rng = ChaCha8Rng::seed_from_u64(trace_seed(self.seed, trace as u64));
-            let activity = self.workload.draw_trace(&mut rng);
-            self.stamps.power_maps_into(&activity.powers, &mut maps);
-            self.solver
-                .set_power(&mut state, lane, &maps)
-                .expect("power stamps are built on the solver grid");
-            out.plaintexts.extend_from_slice(&activity.plaintexts);
-            rngs.push(rng);
-        }
-        for sample in 0..self.sensors.samples_per_trace {
-            let steps = self.solver.advance(&mut state, self.sample_dt);
-            out.steps += steps as u64 * lanes as u64;
-            for (lane, rng) in rngs.iter_mut().enumerate() {
-                for (s, &pos) in self.positions.iter().enumerate() {
-                    let true_t = self
-                        .solver
-                        .temperature_at(&state, lane, self.sensors.die, pos);
-                    out.samples[lane * points + sample * sensor_count + s] =
-                        self.sensors.acquire(true_t, rng);
-                }
-            }
-        }
-        tsc3d_obs::add_to_span("traces", lanes as u64);
-        tsc3d_obs::add_to_span("transient_steps", out.steps);
-        out
-    }
-}
-
-/// Feeds one chunk's traces into the consumer, in trace order.
-fn consume_chunk<C: TraceConsumer + ?Sized>(
-    consumer: &mut C,
-    chunk: &ChunkTraces,
-    key_bytes: usize,
-    points: usize,
-) {
-    let traces = chunk.plaintexts.len() / key_bytes;
-    for t in 0..traces {
-        consumer.consume_trace(
-            &chunk.plaintexts[t * key_bytes..(t + 1) * key_bytes],
-            &chunk.samples[t * points..(t + 1) * points],
-        );
-    }
-}
-
-/// Streams batched trace chunks into `consumer` in strict trace order, returning the
-/// total transient step count.
-///
-/// With a pool, chunks are dispatched as fire-and-forget producer tasks and drained
-/// through a channel; out-of-order completions wait in a reorder buffer, so the consumer
-/// always sees trace `t` before `t + 1` — results are bit-identical for any worker count
-/// while memory stays `O(pending batches × batch × points)` instead of
-/// `O(traces × points)`. The drain loop *helps execute* queued tasks while waiting, so
-/// streaming from inside a pool task (the serve daemon's sca jobs) cannot deadlock.
-///
-/// `cancel` is polled at the `sca-batch` checkpoint once per consumed chunk — the hit
-/// count of that fault site is therefore deterministic (exactly the chunk count on a
-/// fault-free run) regardless of pool scheduling. An interrupt abandons the remaining
-/// chunks; in-flight producers finish into a dropped channel and are discarded.
-fn stream_batches<C: TraceConsumer>(
-    context: Arc<BatchContext>,
-    chunks: Vec<(usize, usize)>,
-    pool: Option<&Pool>,
-    consumer: &mut C,
-    key_bytes: usize,
-    points: usize,
-    cancel: &CancelToken,
-) -> Result<u64, ScaError> {
-    let mut steps = 0u64;
-    match pool {
-        Some(pool) if pool.threads() > 0 => {
-            let total = chunks.len();
-            let (tx, rx) = mpsc::channel::<(usize, ChunkTraces)>();
-            // Reorder buffer: chunks complete in any order, the consumer sees them in
-            // trace order.
-            let mut pending: BTreeMap<usize, ChunkTraces> = BTreeMap::new();
-            let mut delivered = 0usize;
-            for (index, range) in chunks.into_iter().enumerate() {
-                let tx = tx.clone();
-                let producer = Arc::clone(&context);
-                let submitted = pool.submit(move || {
-                    // A dropped receiver means the streaming side panicked; nothing
-                    // left to do with the chunk then.
-                    let _ = tx.send((index, producer.simulate(range)));
-                });
-                if submitted.is_err() {
-                    // Draining pool: refuse-new-work mode. The chunk must still be
-                    // simulated — run it inline, parked in the reorder buffer so
-                    // ordering against still-in-flight earlier chunks is preserved.
-                    pending.insert(index, context.simulate(range));
-                    delivered += 1;
-                }
-            }
-            drop(tx);
-            let mut next = 0usize;
-            while delivered < total {
-                let message = match rx.try_recv() {
-                    Ok(message) => Some(message),
-                    // Help the pool along instead of blocking: keeps a fully busy pool
-                    // from deadlocking on its own sub-tasks (streaming from inside a
-                    // pool task) and puts the waiting thread to work.
-                    Err(mpsc::TryRecvError::Empty) if pool.try_help() => None,
-                    Err(mpsc::TryRecvError::Empty) => {
-                        match rx.recv_timeout(std::time::Duration::from_millis(1)) {
-                            Ok(message) => Some(message),
-                            Err(mpsc::RecvTimeoutError::Timeout) => None,
-                            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                                panic!("a trace batch producer died before delivering")
-                            }
-                        }
-                    }
-                    Err(mpsc::TryRecvError::Disconnected) => {
-                        panic!("a trace batch producer died before delivering")
-                    }
-                };
-                if let Some((index, chunk)) = message {
-                    delivered += 1;
-                    pending.insert(index, chunk);
-                }
-                while let Some(chunk) = pending.remove(&next) {
-                    tsc3d_exec::checkpoint("sca-batch", cancel)
-                        .map_err(ScaError::from_interrupt)?;
-                    steps += chunk.steps;
-                    consume_chunk(consumer, &chunk, key_bytes, points);
-                    next += 1;
-                }
-            }
-            while let Some(chunk) = pending.remove(&next) {
-                tsc3d_exec::checkpoint("sca-batch", cancel).map_err(ScaError::from_interrupt)?;
-                steps += chunk.steps;
-                consume_chunk(consumer, &chunk, key_bytes, points);
-                next += 1;
-            }
-            assert_eq!(next, total, "every chunk consumed exactly once");
-        }
-        _ => {
-            // Serial: simulate and fold one batch at a time — memory O(batch × points).
-            for range in chunks {
-                tsc3d_exec::checkpoint("sca-batch", cancel).map_err(ScaError::from_interrupt)?;
-                let chunk = context.simulate(range);
-                steps += chunk.steps;
-                consume_chunk(consumer, &chunk, key_bytes, points);
-            }
-        }
-    }
-    Ok(steps)
-}
-
 /// Runs one attack evaluation against explicit TSV fields.
 ///
 /// `nominal_powers` are the per-block baseline powers (voltage-scaled); `stability` is
 /// the flow's correlation-stability map when available (the
 /// [`TargetPolicy::MostStable`] input); `seed` drives the traces (plaintexts, background
-/// traffic, sensor noise) and `key_seed` the secret key. With a pool, trace simulation
-/// fans out over the workers; the per-trace seeding makes the result **bit-identical**
-/// for any worker count (including none).
+/// traffic, sensor noise) and `key_seed` the secret key. Trace evaluation is a serial
+/// loop of microseconds per trace, so `pool` is accepted for API stability but unused;
+/// per-trace seeding makes the result independent of any scheduling.
 ///
 /// # Errors
 ///
@@ -796,17 +551,83 @@ pub fn run_attack(
 
 /// The validated, target-resolved inputs shared by both trace engines.
 struct AttackSetup {
-    grid: Grid,
-    solver: TransientSolver,
+    solver: BatchTransientSolver,
+    stamps: PowerStamps,
     target: usize,
     key: Vec<u8>,
     workload: Workload,
+    sensors: SensorConfig,
     positions: Vec<GridPos>,
     sample_dt: f64,
 }
 
-/// Validates the configuration and resolves everything both engines share: the grid,
-/// the (expensive, once-per-mitigation-state) transient network, the attacked module,
+/// The thermal half of an attack: noise-free sensor readings of a chunk of traces from
+/// their block powers, written trace-major (`trace · points + sample · sensors + sensor`).
+impl AttackSetup {
+    /// The adjoint engine's `points × modules` weight matrix — one kernel pass, projected
+    /// onto the power stamps — and the pass's lane-steps.
+    fn adjoint_weights(&self) -> (Vec<f64>, u64) {
+        let _span = tsc3d_obs::span!("sca_kernel");
+        let sources: Vec<(usize, GridPos)> = self
+            .positions
+            .iter()
+            .map(|&pos| (self.sensors.die, pos))
+            .collect();
+        let samples = self.sensors.samples_per_trace;
+        let response = self.solver.step_response(&sources, self.sample_dt, samples);
+        let mut weights = Vec::new();
+        for sample in 0..samples {
+            for source in 0..sources.len() {
+                weights.extend(self.stamps.block_weights(response.weights(sample, source)));
+            }
+        }
+        tsc3d_obs::add_to_span("transient_steps", response.lane_steps());
+        (weights, response.lane_steps())
+    }
+
+    /// Adjoint readings: `ambient + W·powers` per trace and point.
+    fn adjoint_readings(&self, weights: &[f64], powers: &[Vec<f64>], truth: &mut [f64]) {
+        let ambient = self.solver.inner().ambient();
+        let points = self.sensors.points();
+        for (p, out) in powers.iter().zip(truth.chunks_exact_mut(points)) {
+            for (value, w) in out.iter_mut().zip(weights.chunks_exact(p.len())) {
+                *value = ambient + w.iter().zip(p).map(|(w, p)| w * p).sum::<f64>();
+            }
+        }
+    }
+
+    /// Stepped readings (the oracle): the whole chunk integrated in lockstep, one lane per
+    /// trace. Returns the lane-steps taken.
+    fn stepped_readings(&self, powers: &[Vec<f64>], truth: &mut [f64]) -> u64 {
+        let _span = tsc3d_obs::span!("sca_kernel");
+        let lanes = powers.len();
+        let points = self.sensors.points();
+        let mut state = self.solver.state(lanes);
+        let mut maps: Vec<GridMap> = Vec::new();
+        for (lane, p) in powers.iter().enumerate() {
+            self.stamps.power_maps_into(p, &mut maps);
+            self.solver
+                .set_power(&mut state, lane, &maps)
+                .expect("power stamps are built on the solver grid");
+        }
+        let mut steps = 0u64;
+        for sample in 0..self.sensors.samples_per_trace {
+            steps += self.solver.advance(&mut state, self.sample_dt) as u64 * lanes as u64;
+            for lane in 0..lanes {
+                for (s, &pos) in self.positions.iter().enumerate() {
+                    truth[lane * points + sample * self.positions.len() + s] = self
+                        .solver
+                        .temperature_at(&state, lane, self.sensors.die, pos);
+                }
+            }
+        }
+        tsc3d_obs::add_to_span("transient_steps", steps);
+        steps
+    }
+}
+
+/// Validates the configuration and resolves everything both engines share: the
+/// (once-per-mitigation-state) transient network and power stamps, the attacked module,
 /// the key and the sensor positions.
 fn prepare_attack(
     floorplan: &Floorplan,
@@ -827,16 +648,26 @@ fn prepare_attack(
         });
     }
     let grid = floorplan.analysis_grid(config.grid_bins);
-    let thermal_config = ThermalConfig::default_for(floorplan.stack());
-    let solver = TransientSolver::new(&thermal_config, grid, tsv_fields)?;
-    let target = resolve_target(
-        config.target,
-        floorplan,
-        nominal_powers,
-        config.sensors.die,
-        grid,
-        stability,
-    )?;
+    let (solver, stamps) = {
+        let _span = tsc3d_obs::span!("network_build");
+        let thermal_config = ThermalConfig::default_for(floorplan.stack());
+        let solver = TransientSolver::new(&thermal_config, grid, tsv_fields)?;
+        (
+            BatchTransientSolver::new(Arc::new(solver)),
+            floorplan.power_stamps(grid),
+        )
+    };
+    let target = {
+        let _span = tsc3d_obs::span!("resolve_target");
+        resolve_target(
+            config.target,
+            floorplan,
+            nominal_powers,
+            config.sensors.die,
+            grid,
+            stability,
+        )?
+    };
     let key = derive_key(key_seed, config.workload.key_bytes);
     let workload = Workload::new(
         config.workload,
@@ -844,25 +675,24 @@ fn prepare_attack(
         nominal_powers.to_vec(),
         target,
     );
-    let positions = config.sensors.positions(grid);
     Ok(AttackSetup {
-        grid,
         solver,
+        stamps,
         target,
         key,
         workload,
-        positions,
+        sensors: config.sensors,
+        positions: config.sensors.positions(grid),
         sample_dt: config.sensors.dwell_s / config.sensors.samples_per_trace as f64,
     })
 }
 
 /// [`run_attack`] with an explicit [`TraceEngine`] — the extension point the bench
-/// harness and the equivalence tests use to pin batch sizes or select the scalar
-/// reference path. Both engines are bit-identical for any batch size and worker count.
+/// harness and the equivalence tests use to select the stepped oracle.
 ///
 /// # Errors
 ///
-/// See [`run_attack`]; additionally rejects a zero batch size.
+/// See [`run_attack`]; additionally rejects a zero stepped batch size.
 #[allow(clippy::too_many_arguments)]
 pub fn run_attack_with(
     floorplan: &Floorplan,
@@ -873,7 +703,7 @@ pub fn run_attack_with(
     seed: u64,
     key_seed: u64,
     engine: TraceEngine,
-    pool: Option<&Pool>,
+    _pool: Option<&Pool>,
 ) -> Result<ScaOutcome, ScaError> {
     run_attack_impl(
         floorplan,
@@ -884,13 +714,12 @@ pub fn run_attack_with(
         seed,
         key_seed,
         engine,
-        pool,
         &CancelToken::new(),
     )
 }
 
 /// The cancellable core behind every attack entry point: polls `cancel` at the
-/// `sca-batch` checkpoint once per consumed trace chunk.
+/// `sca-batch` checkpoint once per trace chunk.
 #[allow(clippy::too_many_arguments)]
 fn run_attack_impl(
     floorplan: &Floorplan,
@@ -901,11 +730,10 @@ fn run_attack_impl(
     seed: u64,
     key_seed: u64,
     engine: TraceEngine,
-    pool: Option<&Pool>,
     cancel: &CancelToken,
 ) -> Result<ScaOutcome, ScaError> {
     let _span = tsc3d_obs::span!("sca_attack");
-    if let TraceEngine::Batched { batch_traces: 0 } = engine {
+    if let TraceEngine::Stepped { batch_traces: 0 } = engine {
         return Err(ScaError::InvalidConfig {
             reason: "batch_traces must be >= 1".into(),
         });
@@ -918,106 +746,77 @@ fn run_attack_impl(
         config,
         key_seed,
     )?;
-    let points = config.sensors.points();
-    let result = match engine {
-        TraceEngine::Batched { batch_traces } => {
-            let context = Arc::new(BatchContext {
-                stamps: floorplan.power_stamps(setup.grid),
-                solver: BatchTransientSolver::new(Arc::new(setup.solver)),
-                workload: setup.workload,
-                sensors: config.sensors,
-                positions: setup.positions,
-                seed,
-                sample_dt: setup.sample_dt,
-            });
-            // Fixed-size lockstep batches (the last one may be short); the batch
-            // boundary only affects scheduling and SoA lane width, never values.
-            // (Manual ceiling division keeps the crate on the workspace's MSRV.)
-            let mut chunks = Vec::with_capacity((config.traces + batch_traces - 1) / batch_traces);
-            let mut lo = 0;
-            while lo < config.traces {
-                let hi = (lo + batch_traces).min(config.traces);
-                chunks.push((lo, hi));
-                lo = hi;
-            }
-            let mut cpa_sums = CpaAccumulator::new(
-                &setup.key,
-                config.workload.leakage,
-                points,
-                config.traces,
-                config.mtd_checkpoints,
-            );
-            let transient_steps = stream_batches(
-                context,
-                chunks,
-                pool,
-                &mut cpa_sums,
-                config.workload.key_bytes,
-                points,
-                cancel,
-            )?;
-            Ok(ScaOutcome {
-                cpa: cpa_sums.finish(),
-                target_module: setup.target,
-                transient_steps,
-            })
+    let sensors = config.sensors;
+    let points = sensors.points();
+    let (adjoint, chunk, mut transient_steps) = match engine {
+        TraceEngine::Adjoint => {
+            let (weights, steps) = setup.adjoint_weights();
+            (Some(weights), CHUNK_TRACES, steps)
         }
-        TraceEngine::Reference => {
-            let context = Arc::new(TraceContext {
-                solver: setup.solver,
-                floorplan: floorplan.clone(),
-                workload: setup.workload,
-                sensors: config.sensors,
-                positions: setup.positions,
-                grid: setup.grid,
-                seed,
-                sample_dt: setup.sample_dt,
-            });
-            // Chunk the traces; the partition only affects scheduling, never values
-            // (each trace owns a seeded rng and starts from a reset state).
-            let workers = pool.map(Pool::threads).unwrap_or(0);
-            let chunks = chunk_ranges(config.traces, (workers * 3).max(1));
-            let results: Vec<ChunkTraces> = match pool {
-                Some(pool) if pool.threads() > 0 => {
-                    let context = Arc::clone(&context);
-                    pool.run_batch(chunks, move |_, range| context.simulate(range))
-                }
-                _ => chunks
-                    .into_iter()
-                    .map(|range| context.simulate(range))
-                    .collect(),
-            };
-
-            let mut set = TraceSet::new(config.workload.key_bytes, points);
-            let mut transient_steps = 0u64;
-            for chunk in &results {
-                tsc3d_exec::checkpoint("sca-batch", cancel).map_err(ScaError::from_interrupt)?;
-                transient_steps += chunk.steps;
-                consume_chunk(&mut set, chunk, config.workload.key_bytes, points);
-            }
-
-            let cpa = run_cpa(
-                &set,
-                &setup.key,
-                config.workload.leakage,
-                config.mtd_checkpoints,
-            );
-            Ok(ScaOutcome {
-                cpa,
-                target_module: setup.target,
-                transient_steps,
-            })
-        }
+        TraceEngine::Stepped { batch_traces } => (None, batch_traces, 0),
     };
-    if let Ok(outcome) = &result {
-        let metrics = crate::obs_metrics::get();
-        metrics.attacks.inc();
-        metrics.traces.add(config.traces as u64);
-        metrics.transient_steps.add(outcome.transient_steps);
-        tsc3d_obs::add_to_span("traces", config.traces as u64);
-        tsc3d_obs::add_to_span("transient_steps", outcome.transient_steps);
+
+    let key_bytes = config.workload.key_bytes;
+    let mut cpa = CpaAccumulator::new(
+        &setup.key,
+        config.workload.leakage,
+        points,
+        config.traces,
+        config.mtd_checkpoints,
+    );
+    let mut plaintexts = Vec::with_capacity(chunk * key_bytes);
+    let mut powers = Vec::with_capacity(chunk);
+    let mut rngs = Vec::with_capacity(chunk);
+    let mut samples = vec![0.0; chunk * points];
+    for lo in (0..config.traces).step_by(chunk) {
+        tsc3d_exec::checkpoint("sca-batch", cancel).map_err(ScaError::from_interrupt)?;
+        let traces = chunk.min(config.traces - lo);
+        let samples = &mut samples[..traces * points];
+        {
+            let _span = tsc3d_obs::span!("trace_eval");
+            plaintexts.clear();
+            powers.clear();
+            rngs.clear();
+            for trace in lo..lo + traces {
+                let mut rng = ChaCha8Rng::seed_from_u64(trace_seed(seed, trace as u64));
+                let activity = setup.workload.draw_trace(&mut rng);
+                plaintexts.extend_from_slice(&activity.plaintexts);
+                powers.push(activity.powers);
+                rngs.push(rng);
+            }
+            match &adjoint {
+                Some(weights) => setup.adjoint_readings(weights, &powers, samples),
+                None => transient_steps += setup.stepped_readings(&powers, samples),
+            }
+            // The acquisition chain per trace, per sample, per sensor: each trace's rng
+            // continues where its draw left off.
+            for (trace, rng) in rngs.iter_mut().enumerate() {
+                for value in &mut samples[trace * points..(trace + 1) * points] {
+                    *value = sensors.acquire(*value, rng);
+                }
+            }
+            tsc3d_obs::add_to_span("traces", traces as u64);
+        }
+        let _span = tsc3d_obs::span!("cpa_fold");
+        for (text, trace) in plaintexts
+            .chunks_exact(key_bytes)
+            .zip(samples.chunks_exact(points))
+        {
+            cpa.push(text, trace);
+        }
     }
-    result
+    let outcome = ScaOutcome {
+        cpa: cpa.finish(),
+        target_module: setup.target,
+        transient_steps,
+    };
+    let metrics = crate::obs_metrics::get();
+    metrics.attacks.inc();
+    metrics.traces.add(config.traces as u64);
+    metrics.transient_steps.add(outcome.transient_steps);
+    tsc3d_obs::add_to_span("traces", config.traces as u64);
+    tsc3d_obs::add_to_span("transient_steps", outcome.transient_steps);
+    Ok(outcome)
 }
 
 /// Runs one attack evaluation out of a [`FlowResult`], against the chosen mitigation
@@ -1033,9 +832,9 @@ pub fn run_on_flow(
     seed: u64,
     key_seed: u64,
     mitigation: Mitigation,
-    pool: Option<&Pool>,
+    _pool: Option<&Pool>,
 ) -> Result<ScaOutcome, ScaError> {
-    run_on_flow_with(
+    run_on_flow_impl(
         design,
         flow,
         config,
@@ -1043,7 +842,7 @@ pub fn run_on_flow(
         key_seed,
         mitigation,
         TraceEngine::default(),
-        pool,
+        &CancelToken::new(),
     )
 }
 
@@ -1061,7 +860,7 @@ pub fn run_on_flow_with(
     key_seed: u64,
     mitigation: Mitigation,
     engine: TraceEngine,
-    pool: Option<&Pool>,
+    _pool: Option<&Pool>,
 ) -> Result<ScaOutcome, ScaError> {
     run_on_flow_impl(
         design,
@@ -1071,14 +870,13 @@ pub fn run_on_flow_with(
         key_seed,
         mitigation,
         engine,
-        pool,
         &CancelToken::new(),
     )
 }
 
-/// [`run_on_flow`] polling `cancel` at the `sca-batch` checkpoint (once per consumed
-/// trace chunk), so a running attack can be stopped — or bounded by a deadline — within
-/// one chunk's worth of work. A run that completes is bit-identical to an uncancelled
+/// [`run_on_flow`] polling `cancel` at the `sca-batch` checkpoint (once per 8-trace
+/// chunk), so a running attack can be stopped — or bounded by a deadline — within one
+/// chunk's worth of work. A run that completes is bit-identical to an uncancelled
 /// [`run_on_flow`].
 ///
 /// # Errors
@@ -1093,7 +891,7 @@ pub fn run_on_flow_with_cancel(
     seed: u64,
     key_seed: u64,
     mitigation: Mitigation,
-    pool: Option<&Pool>,
+    _pool: Option<&Pool>,
     cancel: &CancelToken,
 ) -> Result<ScaOutcome, ScaError> {
     run_on_flow_impl(
@@ -1104,7 +902,6 @@ pub fn run_on_flow_with_cancel(
         key_seed,
         mitigation,
         TraceEngine::default(),
-        pool,
         cancel,
     )
 }
@@ -1118,7 +915,6 @@ fn run_on_flow_impl(
     key_seed: u64,
     mitigation: Mitigation,
     engine: TraceEngine,
-    pool: Option<&Pool>,
     cancel: &CancelToken,
 ) -> Result<ScaOutcome, ScaError> {
     config.validate()?;
@@ -1133,7 +929,6 @@ fn run_on_flow_impl(
         seed,
         key_seed,
         engine,
-        pool,
         cancel,
     )
 }
@@ -1164,9 +959,8 @@ pub fn run_verdict(
     )
 }
 
-/// [`run_verdict`] polling `cancel` at the `sca-batch` checkpoint (once per consumed
-/// trace chunk of either mitigation state) — the serve daemon's cancellation and
-/// deadline path.
+/// [`run_verdict`] polling `cancel` at the `sca-batch` checkpoint (once per 8-trace chunk
+/// of either mitigation state) — the serve daemon's cancellation and deadline path.
 ///
 /// A run that completes is bit-identical to an uncancelled [`run_verdict`]: the token is
 /// only *read* at checkpoints and never touches the seeded trace streams.
@@ -1182,33 +976,23 @@ pub fn run_verdict_with_cancel(
     config: &AttackConfig,
     seed: u64,
     key_seed: u64,
-    pool: Option<&Pool>,
+    _pool: Option<&Pool>,
     cancel: &CancelToken,
 ) -> Result<ScaVerdict, ScaError> {
-    let baseline = run_on_flow_impl(
-        design,
-        flow,
-        config,
-        seed,
-        key_seed,
-        Mitigation::Baseline,
-        TraceEngine::default(),
-        pool,
-        cancel,
-    )?;
-    let mitigated = run_on_flow_impl(
-        design,
-        flow,
-        config,
-        seed,
-        key_seed,
-        Mitigation::DummyTsvs,
-        TraceEngine::default(),
-        pool,
-        cancel,
-    )?;
+    let attack = |mitigation| {
+        run_on_flow_impl(
+            design,
+            flow,
+            config,
+            seed,
+            key_seed,
+            mitigation,
+            TraceEngine::default(),
+            cancel,
+        )
+    };
     Ok(ScaVerdict {
-        baseline,
-        mitigated,
+        baseline: attack(Mitigation::Baseline)?,
+        mitigated: attack(Mitigation::DummyTsvs)?,
     })
 }

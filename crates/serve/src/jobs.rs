@@ -597,8 +597,8 @@ impl JobService {
             Payload::Sca(submission) => {
                 // One flow run, then both mitigation states attacked out of the same
                 // FlowResult (identical traces; only the dummy TSVs differ) — the
-                // `run_verdict` contract — with the trace simulation fanned out over the
-                // evaluation pool.
+                // `run_verdict` contract. Each attack is one adjoint kernel pass plus a
+                // serial trace loop on this worker.
                 let spec = &submission.spec;
                 let job = submission
                     .jobs()
@@ -631,7 +631,7 @@ impl JobService {
                     &attack,
                     job.trace_seed(),
                     job.key_seed,
-                    Some(&self.pool),
+                    None,
                     cancel,
                 )
                 .map_err(|e| match e.kind() {

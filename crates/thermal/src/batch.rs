@@ -1,7 +1,8 @@
-//! Lockstep batched transient stepping: many independent traces through one network.
+//! Lockstep batched transient stepping: many independent fields through one network.
 //!
-//! Trace-level side-channel simulation (`tsc3d-sca`) steps the *same* RC network through
-//! thousands of short transients that differ only in their injected power. The scalar
+//! Trace-level side-channel simulation (`tsc3d-sca`) needs the *same* RC network's
+//! response to thousands of power maps — one adjoint pass per attack (one lane per
+//! sensor, see below), or per trace for its stepped test oracle. The scalar
 //! [`TransientSolver`] pays the per-node overhead — index arithmetic, boundary branches,
 //! conductance loads — once per node per step *per trace*. [`BatchTransientSolver`] steps
 //! a batch of traces ("lanes") in lockstep over structure-of-arrays fields laid out
@@ -13,6 +14,18 @@
 //! +x, −x, +y, −y, +z, −z neighbour flows in that order, then `t + (flow / C) · dt` —
 //! on the same operands. Lanes never mix, so every lane's temperature series is
 //! bit-identical to a scalar simulation of that trace, for any batch size.
+//!
+//! **Adjoint step response.** Trace simulation applies a *constant* power map to a field
+//! that starts at ambient, so a reading is linear in that map. With `u = T − T_amb`, one
+//! substep is `u ← A·u + dt·C⁻¹p` where `A = I − dt·C⁻¹K`, `K` the symmetric conductance
+//! matrix (boundary paths included) and `C` the diagonal capacity. After `K` substeps
+//! sensor `s` reads `e_sᵀu = dt·Σ_{j<K} e_sᵀAʲC⁻¹p = dt·Σ_{j<K}(C⁻¹Aᵀʲe_s)·p`.
+//! Symmetric `K` gives `Aᵀ = C·A·C⁻¹`, so `C⁻¹Aᵀʲ = AʲC⁻¹` and the reading is
+//! `dt·Σ_{j<K}(AʲC⁻¹e_s)·p`: the weights come from stepping `C⁻¹e_s` forward with zero
+//! power and ambient 0 — one lane per *sensor* instead of one per *trace*
+//! ([`BatchTransientSolver::step_response`]). The summation order differs from stepping
+//! a trace, so readings agree with the stepped field to roundoff (≲1e-12 K), not bit
+//! for bit.
 
 use crate::transient::TransientSolver;
 use crate::SolveError;
@@ -56,7 +69,7 @@ pub struct BatchTransientState {
 }
 
 impl BatchTransientState {
-    /// Number of lanes (traces stepped in lockstep).
+    /// Number of lanes (fields stepped in lockstep).
     pub fn lanes(&self) -> usize {
         self.lanes
     }
@@ -211,25 +224,31 @@ impl BatchTransientSolver {
     ///
     /// Panics if `dt` is not positive.
     pub fn step(&self, state: &mut BatchTransientState, dt: f64) {
+        self.step_towards(state, dt, self.inner.ambient());
+    }
+
+    /// One explicit-Euler step with the boundary paths pulling towards `ambient`: the
+    /// physical step uses the network's ambient, the adjoint pass of
+    /// [`BatchTransientSolver::step_response`] steps temperature *rises* (ambient 0).
+    fn step_towards(&self, state: &mut BatchTransientState, dt: f64, ambient: f64) {
         assert!(dt > 0.0, "dt must be positive");
         // Monomorphized lane counts keep the inner loops fixed-size (register-resident
         // flow accumulators, no bounds checks, full vectorization); the power-of-two
         // batch sizes the sca layer uses all hit a specialized path. Per-lane arithmetic
         // is identical in every variant, so this dispatch cannot affect bit-identity.
         match state.lanes {
-            1 => self.step_lanes::<1>(state, dt),
-            2 => self.step_lanes::<2>(state, dt),
-            4 => self.step_lanes::<4>(state, dt),
-            8 => self.step_lanes::<8>(state, dt),
-            16 => self.step_lanes::<16>(state, dt),
-            _ => self.step_dyn(state, dt),
+            1 => self.step_lanes::<1>(state, dt, ambient),
+            2 => self.step_lanes::<2>(state, dt, ambient),
+            4 => self.step_lanes::<4>(state, dt, ambient),
+            8 => self.step_lanes::<8>(state, dt, ambient),
+            16 => self.step_lanes::<16>(state, dt, ambient),
+            _ => self.step_dyn(state, dt, ambient),
         }
     }
 
     /// The fixed-lane-count step: `L` is a compile-time constant, so `flow` lives in
     /// registers and every lane loop unrolls.
-    fn step_lanes<const L: usize>(&self, state: &mut BatchTransientState, dt: f64) {
-        let ambient = self.inner.ambient();
+    fn step_lanes<const L: usize>(&self, state: &mut BatchTransientState, dt: f64, ambient: f64) {
         let plan = &self.plan;
         let BatchTransientState {
             temps, next, power, ..
@@ -264,9 +283,8 @@ impl BatchTransientSolver {
     }
 
     /// The dynamic-lane-count fallback, same arithmetic with a heap flow accumulator.
-    fn step_dyn(&self, state: &mut BatchTransientState, dt: f64) {
+    fn step_dyn(&self, state: &mut BatchTransientState, dt: f64, ambient: f64) {
         let lanes = state.lanes;
-        let ambient = self.inner.ambient();
         let plan = &self.plan;
         let BatchTransientState {
             temps,
@@ -345,6 +363,121 @@ impl BatchTransientSolver {
     /// scalar engine's count, delegated so the one stability margin stays authoritative).
     pub fn steps_for(&self, duration: f64) -> usize {
         self.inner.steps_for(duration)
+    }
+
+    /// The adjoint step response of `sources` (`(die, bin)` points on the dies' active
+    /// layers) at `samples` sample boundaries `sample_dt` apart: one lane per source,
+    /// stepped once through the whole window (see the module docs for the derivation).
+    ///
+    /// Each lane starts from `C⁻¹e_s` with zero power and ambient 0; before every substep
+    /// the field is added into a running sum, and `dt · sum` is snapshotted at each sample
+    /// boundary. Substep count and `dt` are those of [`BatchTransientSolver::advance`]
+    /// over `sample_dt`, so the weights reproduce a stepped reading from an ambient start
+    /// up to floating-point roundoff.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sample_dt` is not positive, `samples` is zero, or a source lies off the
+    /// stack.
+    pub fn step_response(
+        &self,
+        sources: &[(usize, GridPos)],
+        sample_dt: f64,
+        samples: usize,
+    ) -> StepResponse {
+        assert!(sample_dt > 0.0, "sample_dt must be positive");
+        assert!(samples > 0, "a step response needs at least one sample");
+        let inner = &self.inner;
+        let grid = inner.grid();
+        let bins = grid.bins();
+        let dies = inner.dies();
+        let steps = self.steps_for(sample_dt);
+        let dt = sample_dt / steps as f64;
+        let mut maps = vec![GridMap::zeros(grid); samples * sources.len() * dies];
+        let mut first = 0;
+        while first < sources.len() {
+            // The widest monomorphized lane count that fits, so no lane is padding: a
+            // 3×3 sensor array runs as 8 + 1 lanes, faster than one padded 16-lane pass.
+            let lanes = [16, 8, 4, 2, 1]
+                .into_iter()
+                .find(|&width| width <= sources.len() - first)
+                .expect("width 1 always fits");
+            let mut state = self.state(lanes);
+            state.temps.fill(0.0);
+            for (lane, &(die, pos)) in sources[first..first + lanes].iter().enumerate() {
+                assert!(die < dies, "source die {die} outside the {dies}-die stack");
+                let node = inner.active_layers[die] * bins + grid.flat_index(pos);
+                state.temps[node * lanes + lane] = 1.0 / inner.cap[node];
+            }
+            // Running field sums, kept only on the active layers (where power enters).
+            let layer_len = bins * lanes;
+            let mut sums = vec![0.0; dies * layer_len];
+            for sample in 0..samples {
+                for _ in 0..steps {
+                    for (sum, &layer) in sums.chunks_exact_mut(layer_len).zip(&inner.active_layers)
+                    {
+                        let field = &state.temps[layer * layer_len..(layer + 1) * layer_len];
+                        for (acc, &t) in sum.iter_mut().zip(field) {
+                            *acc += t;
+                        }
+                    }
+                    self.step_towards(&mut state, dt, 0.0);
+                }
+                for lane in 0..lanes {
+                    let source = first + lane;
+                    for (die, sum) in sums.chunks_exact(layer_len).enumerate() {
+                        let map = &mut maps[(sample * sources.len() + source) * dies + die];
+                        for (b, w) in map.values_mut().iter_mut().enumerate() {
+                            *w = dt * sum[b * lanes + lane];
+                        }
+                    }
+                }
+            }
+            first += lanes;
+        }
+        StepResponse {
+            sources: sources.len(),
+            dies,
+            maps,
+            substeps: samples * steps,
+        }
+    }
+}
+
+/// The per-bin power sensitivities of a set of sensor points over a sampled window:
+/// the output of [`BatchTransientSolver::step_response`].
+///
+/// For a network starting at ambient under a constant injection `p` (watts per bin of
+/// each die's active layer), the explicit-Euler temperature of source `s` at the end of
+/// sample `k` is `ambient + Σ_die Σ_bin w[k][s][die][bin] · p[die][bin]`.
+#[derive(Debug)]
+pub struct StepResponse {
+    sources: usize,
+    dies: usize,
+    /// Weight maps in K/W, indexed `(sample · sources + source) · dies + die`.
+    maps: Vec<GridMap>,
+    substeps: usize,
+}
+
+impl StepResponse {
+    /// The sensitivity of `source` at the end of sample `sample`: one map per die, in
+    /// kelvin per watt injected into each bin of that die's active layer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sample` or `source` lies outside the response.
+    pub fn weights(&self, sample: usize, source: usize) -> &[GridMap] {
+        assert!(
+            source < self.sources,
+            "source {source} outside the response"
+        );
+        let start = (sample * self.sources + source) * self.dies;
+        &self.maps[start..start + self.dies]
+    }
+
+    /// Kernel work of the pass: substeps × sources.
+    pub fn lane_steps(&self) -> u64 {
+        (self.substeps * self.sources) as u64
     }
 }
 
@@ -437,6 +570,137 @@ mod tests {
         // Reset returns every lane to ambient.
         batched.reset(&mut state);
         assert!(state.temps.iter().all(|&t| t == solver.ambient()));
+    }
+
+    /// The adjoint reading above ambient: `Σ_die Σ_bin w · p`.
+    fn rise(response: &StepResponse, sample: usize, source: usize, power: &[GridMap]) -> f64 {
+        response
+            .weights(sample, source)
+            .iter()
+            .zip(power)
+            .map(|(w, p)| {
+                w.values()
+                    .iter()
+                    .zip(p.values())
+                    .map(|(w, p)| w * p)
+                    .sum::<f64>()
+            })
+            .sum()
+    }
+
+    /// Sensor points on both dies: corners, centre and an off-centre bin.
+    fn sources(grid: tsc3d_geometry::Grid) -> Vec<(usize, GridPos)> {
+        let last = grid.cols() - 1;
+        let mut out = Vec::new();
+        for die in 0..2 {
+            for pos in [
+                GridPos::new(0, 0),
+                GridPos::new(last, last),
+                GridPos::new(last / 2, last / 2),
+                GridPos::new(1, last - 1),
+            ] {
+                out.push((die, pos));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn lumped_step_response_matches_the_closed_form_euler_sum() {
+        // One uncoupled node per die: the weight after K substeps of dt is the geometric
+        // sum dt/c · Σ_{j<K} (1 − dt·g/c)^j = (1 − (1 − dt·g/c)^K) / g.
+        let config = ThermalConfig::default_for(Stack::two_die(Outline::new(4000.0, 4000.0)));
+        let solver = Arc::new(TransientSolver::lumped(&config));
+        let batched = BatchTransientSolver::new(Arc::clone(&solver));
+        let origin = GridPos::new(0, 0);
+        let sources = [(0, origin), (1, origin)];
+        for sample_dt in [solver.max_stable_dt() * 0.3, solver.max_stable_dt() * 40.0] {
+            let samples = 3;
+            let response = batched.step_response(&sources, sample_dt, samples);
+            let steps = batched.steps_for(sample_dt);
+            let dt = sample_dt / steps as f64;
+            assert_eq!(response.lane_steps(), (samples * steps * 2) as u64);
+            for (source, &(die, _)) in sources.iter().enumerate() {
+                let (g, c) = (solver.network.gb[die], solver.cap[die]);
+                for sample in 0..samples {
+                    let k = ((sample + 1) * steps) as i32;
+                    let expected = (1.0 - (1.0 - dt * g / c).powi(k)) / g;
+                    let weights = response.weights(sample, source);
+                    let got = weights[die].values()[0];
+                    assert!(
+                        (got - expected).abs() <= 1e-12 * expected.abs(),
+                        "die {die} sample {sample}: {got} vs {expected}"
+                    );
+                    // The dies are uncoupled: no cross-die sensitivity.
+                    assert_eq!(weights[1 - die].values()[0], 0.0);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn step_response_settles_to_the_steady_state_solution() {
+        // Over a long dwell W·p must reach the steady-state solver's temperatures on the
+        // identical network.
+        let stack = Stack::two_die(Outline::new(2000.0, 2000.0));
+        let grid = Grid::square(stack.outline().rect(), 8);
+        let config = ThermalConfig::default_for(stack);
+        let tsvs = vec![TsvField::uniform(grid, 0.05)];
+        let mut hotspot = GridMap::zeros(grid);
+        hotspot.splat_power(&Rect::new(0.0, 0.0, 700.0, 500.0), 2.0);
+        let power = vec![hotspot, GridMap::constant(grid, 1.0 / 64.0)];
+        let steady = crate::SteadyStateSolver::new(config.clone())
+            .solve(&power, &tsvs)
+            .unwrap();
+        let solver = Arc::new(TransientSolver::new(&config, grid, &tsvs).unwrap());
+        let batched = BatchTransientSolver::new(Arc::clone(&solver));
+        let sources = sources(grid);
+        let response = batched.step_response(&sources, 0.5, 1);
+        for (source, &(die, pos)) in sources.iter().enumerate() {
+            let settled = solver.ambient() + rise(&response, 0, source, &power);
+            let reference = steady.die_temperature(die).get(pos);
+            assert!(
+                (settled - reference).abs() < 0.05,
+                "die {die} {pos}: adjoint {settled} vs steady {reference}"
+            );
+        }
+    }
+
+    #[test]
+    fn step_response_matches_the_stepped_field() {
+        let stack = Stack::two_die(Outline::new(2000.0, 2000.0));
+        let grid = Grid::square(stack.outline().rect(), 9);
+        let config = ThermalConfig::default_for(stack);
+        for density in [0.0, 0.02, 0.2] {
+            let tsvs = vec![TsvField::uniform(grid, density)];
+            let solver = Arc::new(TransientSolver::new(&config, grid, &tsvs).unwrap());
+            let batched = BatchTransientSolver::new(Arc::clone(&solver));
+            let (_, patterns) = setup(9);
+            let sources = sources(grid);
+            for samples in [1usize, 3] {
+                let sample_dt = 0.006 / samples as f64;
+                let response = batched.step_response(&sources, sample_dt, samples);
+                let mut state = batched.state(patterns.len());
+                for (lane, pattern) in patterns.iter().enumerate() {
+                    batched.set_power(&mut state, lane, pattern).unwrap();
+                }
+                for sample in 0..samples {
+                    batched.advance(&mut state, sample_dt);
+                    for (lane, pattern) in patterns.iter().enumerate() {
+                        for (source, &(die, pos)) in sources.iter().enumerate() {
+                            let stepped = batched.temperature_at(&state, lane, die, pos);
+                            let adjoint =
+                                solver.ambient() + rise(&response, sample, source, pattern);
+                            assert!(
+                                (stepped - adjoint).abs() <= 1e-9,
+                                "density {density}, {samples} samples, sample {sample}, \
+                                 lane {lane}, die {die} {pos}: {stepped} vs {adjoint}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -49,7 +49,7 @@ mod solver;
 pub mod transient;
 mod tsv;
 
-pub use batch::{BatchTransientSolver, BatchTransientState};
+pub use batch::{BatchTransientSolver, BatchTransientState, StepResponse};
 pub use config::{MaterialProperties, StackLayer, StackLayerKind, ThermalConfig};
 pub use solver::{SolveError, SteadyStateSolver, ThermalResult};
 pub use transient::{LumpedTransient, TransientSample, TransientSolver, TransientState};
