@@ -16,6 +16,11 @@
 //!   stepped oracle at lockstep batch size `batch`. Before timing, the harness asserts
 //!   both engines return the same MTD, recovered bytes and target, with best
 //!   correlations within 1e-9.
+//! * **CPA fold traces/sec** of [`CpaAccumulator::push`] at the
+//!   [`AttackConfig::smoke`] shape (key bytes, points, traces, checkpoints) — the
+//!   per-trace cost left once the adjoint kernel is shared. Before timing, the harness
+//!   asserts the folded result equals [`run_cpa`] on the same [`TraceSet`]. The section
+//!   is informational: the delta table and `obs bench-diff` show it, no gate reads it.
 //!
 //! Methodology: every section runs one untimed warmup pass, then takes the best of
 //! `--reps` timed repetitions. On a loaded (or single-CPU) box a single cold run can
@@ -25,10 +30,11 @@
 //!
 //! ```text
 //! bench [--smoke] [--reps N] [--label NAME] [--note TEXT] \
-//!       [--only sa,packs,solver,transient,traces]  # run a subset of the sections
+//!       [--only sa,packs,solver,transient,traces,cpa]  # run a subset of the sections
 //!       [--json PATH]         # write a fresh single-entry trajectory document
 //!       [--append PATH]       # append this run as a new entry to an existing trajectory
-//!       [--baseline PATH]     # print a delta table against the last entry of PATH
+//!       [--baseline PATH]     # print a delta table, each section against the last
+//!                             # entry of PATH that holds it
 //!       [--gate-traces FRAC]  # exit 1 when adjoint traces/sec regresses by more than
 //!                             # FRAC vs the baseline's last entry with a traces section
 //! ```
@@ -54,10 +60,13 @@ use tsc3d_floorplan::{
 use tsc3d_geometry::{Grid, GridMap, Outline, Rect, Stack};
 use tsc3d_netlist::suite::{generate, Benchmark};
 use tsc3d_netlist::Design;
-use tsc3d_sca::{run_on_flow_with, AttackConfig, Mitigation, TraceEngine};
+use tsc3d_sca::{
+    derive_key, run_cpa, run_on_flow_with, AttackConfig, CpaAccumulator, Mitigation, TraceEngine,
+    TraceSet, SBOX,
+};
 use tsc3d_thermal::{SteadyStateSolver, ThermalConfig, TransientSolver, TsvField};
 
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 /// One SA throughput sample.
@@ -97,6 +106,17 @@ struct TraceSample {
     reference_traces_per_sec: f64,
 }
 
+/// One CPA fold-throughput sample at an attack shape.
+struct CpaSample {
+    key_bytes: usize,
+    points: usize,
+    traces: usize,
+    traces_per_sec: f64,
+}
+
+/// The bench sections, in run and delta-table order.
+const SECTIONS: [&str; 6] = ["sa", "packs", "solver", "transient", "traces", "cpa"];
+
 /// The `--only` selection (all sections when the flag is absent).
 fn section_enabled(only: &Option<Vec<String>>, name: &str) -> bool {
     match only {
@@ -119,7 +139,7 @@ fn main() {
     if let Some(list) = &only {
         for section in list {
             assert!(
-                ["sa", "packs", "solver", "transient", "traces"].contains(&section.as_str()),
+                SECTIONS.contains(&section.as_str()),
                 "unknown --only section '{section}'"
             );
         }
@@ -246,6 +266,17 @@ fn main() {
         }
     }
 
+    // CPA fold throughput at the smoke attack's shape (informational).
+    let mut cpa_samples = Vec::new();
+    if section_enabled(&only, "cpa") {
+        let sample = measure_cpa(&AttackConfig::smoke(), reps);
+        println!(
+            "  cpa {} bytes x {} points x {} traces: {:.0} traces/s",
+            sample.key_bytes, sample.points, sample.traces, sample.traces_per_sec
+        );
+        cpa_samples.push(sample);
+    }
+
     let entry = render_entry(
         &label,
         smoke,
@@ -255,6 +286,7 @@ fn main() {
         &solver_samples,
         &transient_samples,
         &trace_samples,
+        &cpa_samples,
     );
 
     if let Some(path) = arg_value("--json") {
@@ -438,6 +470,60 @@ fn measure_traces(
     }
 }
 
+/// Best-of-`reps` streaming-CPA fold throughput ([`CpaAccumulator::push`]) over a seeded
+/// synthetic trace set of `config`'s shape: key bytes, sensor points, traces and
+/// disclosure checkpoints. Each sample is the attack's ambient plus a Hamming-weight
+/// leak of the first S-box on sensor 0 and uniform noise. Asserts the fold equals
+/// [`run_cpa`] on the same set before timing.
+fn measure_cpa(config: &AttackConfig, reps: usize) -> CpaSample {
+    let key_bytes = config.workload.key_bytes;
+    let points = config.sensors.points();
+    let traces = config.traces;
+    let key = derive_key(11, key_bytes);
+    let model = config.workload.leakage;
+    let mut rng = ChaCha8Rng::seed_from_u64(5);
+    let mut set = TraceSet::new(key_bytes, points);
+    let mut rows = Vec::with_capacity(traces);
+    for _ in 0..traces {
+        let plaintexts: Vec<u8> = (0..key_bytes).map(|_| rng.gen_range(0..=255u8)).collect();
+        let leak = SBOX[usize::from(plaintexts[0] ^ key[0])].count_ones() as f64;
+        let samples: Vec<f64> = (0..points)
+            .map(|point| {
+                let signal = if point == 0 { 0.01 * leak } else { 0.0 };
+                318.0 + signal + config.sensors.sigma_k * rng.gen_range(-0.5..0.5)
+            })
+            .collect();
+        set.push_trace(&plaintexts, &samples);
+        rows.push((plaintexts, samples));
+    }
+    let fold = || {
+        let mut acc = CpaAccumulator::new(&key, model, points, traces, config.mtd_checkpoints);
+        let start = Instant::now();
+        for (plaintexts, samples) in &rows {
+            acc.push(plaintexts, samples);
+        }
+        (start.elapsed().as_secs_f64(), acc.finish())
+    };
+    assert_eq!(
+        fold().1,
+        run_cpa(&set, &key, model, config.mtd_checkpoints),
+        "the streaming CPA fold diverged from run_cpa"
+    );
+    // One fold takes milliseconds; each rep times enough folds to span ~0.2 s.
+    let folds = ((0.2 / fold().0.max(1e-6)) as usize).clamp(1, 1_000);
+    let mut traces_per_sec = 0.0f64;
+    for _ in 0..reps {
+        let elapsed: f64 = (0..folds).map(|_| fold().0).sum();
+        traces_per_sec = traces_per_sec.max((folds * traces) as f64 / elapsed);
+    }
+    CpaSample {
+        key_bytes,
+        points,
+        traces,
+        traces_per_sec,
+    }
+}
+
 /// Best-of-`reps` packing throughput for both the scratch and the reference path.
 fn measure_packs(
     design: &Design,
@@ -558,6 +644,7 @@ fn render_entry(
     solver: &[SolverSample],
     transient: &[TransientSample],
     traces: &[TraceSample],
+    cpa: &[CpaSample],
 ) -> Json {
     let mut members = vec![
         ("label".into(), Json::Str(label.into())),
@@ -656,6 +743,21 @@ fn render_entry(
                     .collect(),
             ),
         ),
+        (
+            "cpa".into(),
+            Json::Arr(
+                cpa.iter()
+                    .map(|s| {
+                        Json::Obj(vec![
+                            ("key_bytes".into(), Json::UInt(s.key_bytes as u64)),
+                            ("points".into(), Json::UInt(s.points as u64)),
+                            ("traces".into(), Json::UInt(s.traces as u64)),
+                            ("traces_per_sec".into(), Json::Num(s.traces_per_sec)),
+                        ])
+                    })
+                    .collect(),
+            ),
+        ),
     ];
     for (name, section) in sections {
         if let Json::Arr(items) = &section {
@@ -685,16 +787,15 @@ fn read_doc(path: &str) -> Option<Json> {
 
 /// Prints a delta table of this run against the last entry of the baseline trajectory.
 fn print_delta(baseline_doc: &Json, current: &Json, path: &str) {
-    let Some(baseline) = baseline_doc
+    let entries = baseline_doc
         .get("entries")
         .and_then(Json::as_array)
-        .and_then(<[Json]>::last)
-    else {
+        .unwrap_or_default();
+    if entries.is_empty() {
         println!("bench: baseline {path} holds no entries; skipping delta table");
         return;
-    };
-    let base_label = baseline.get("label").and_then(Json::as_str).unwrap_or("?");
-    println!("\ndelta vs baseline '{base_label}' ({path}):");
+    }
+    println!("\ndelta vs baseline {path} (each section against its last entry holding it):");
     println!(
         "{:<34} {:>12} {:>12} {:>9}",
         "metric", "baseline", "now", "ratio"
@@ -706,9 +807,12 @@ fn print_delta(baseline_doc: &Json, current: &Json, path: &str) {
         }
     };
 
-    for section in ["sa", "packs", "solver", "transient", "traces"] {
+    for section in SECTIONS {
         let (Some(base_items), Some(now_items)) = (
-            baseline.get(section).and_then(Json::as_array),
+            entries
+                .iter()
+                .rev()
+                .find_map(|entry| entry.get(section).and_then(Json::as_array)),
             current.get(section).and_then(Json::as_array),
         ) else {
             continue;
@@ -725,6 +829,9 @@ fn print_delta(baseline_doc: &Json, current: &Json, path: &str) {
                         && candidate.get("batch").and_then(Json::as_u64)
                             == now_item.get("batch").and_then(Json::as_u64)
                 }
+                "cpa" => ["key_bytes", "points", "traces"]
+                    .iter()
+                    .all(|k| candidate.get(k) == now_item.get(k)),
                 _ => {
                     candidate.get("benchmark").and_then(Json::as_str)
                         == now_item.get("benchmark").and_then(Json::as_str)
@@ -770,6 +877,18 @@ fn print_delta(baseline_doc: &Json, current: &Json, path: &str) {
                         "traces grid {} batch {} traces/s",
                         now_item.get("grid").and_then(Json::as_u64).unwrap_or(0),
                         now_item.get("batch").and_then(Json::as_u64).unwrap_or(0)
+                    ),
+                ),
+                "cpa" => (
+                    "traces_per_sec",
+                    format!(
+                        "cpa {}x{}x{} traces/s (info)",
+                        now_item
+                            .get("key_bytes")
+                            .and_then(Json::as_u64)
+                            .unwrap_or(0),
+                        now_item.get("points").and_then(Json::as_u64).unwrap_or(0),
+                        now_item.get("traces").and_then(Json::as_u64).unwrap_or(0)
                     ),
                 ),
                 _ => (

@@ -23,6 +23,7 @@ use tsc3d_campaign::{
     CampaignOptions, CampaignSpec, CampaignSummary, JobRetryPolicy, OverrideSet, ScaCampaignSpec,
     ScaSensorSet, Shard,
 };
+use tsc3d_exec::{CancelToken, FaultPlan, FaultRecord};
 use tsc3d_floorplan::SaSchedule;
 use tsc3d_netlist::suite::Benchmark;
 use tsc3d_obs::{log_error, log_info, log_warn};
@@ -52,28 +53,29 @@ fn main() -> ExitCode {
             arg_present(&args, "--fsync"),
         )
     });
-    // `--fault-plan SPEC` arms the deterministic fault-injection harness for the whole
-    // run (chaos testing: `site:hit:action` entries, e.g. `sa-epoch:3:panic`);
-    // `--fault-log PATH` writes the fired faults as JSONL on the way out.
+    // `--fault-plan SPEC` arms the deterministic fault-injection harness on the
+    // campaign's cancel token (chaos testing: `site:hit:action` entries, e.g.
+    // `sa-epoch:3:panic`); `--fault-log PATH` writes the fired faults as JSONL on the way
+    // out.
     let fault_log = arg_value(&args, "--fault-log").map(PathBuf::from);
-    if let Some(plan) = arg_value(&args, "--fault-plan") {
-        match tsc3d_exec::fault::FaultPlan::parse(&plan) {
-            Ok(plan) => {
-                log_info!("campaign", "fault plan armed: {plan}");
-                tsc3d_exec::fault::arm(plan);
-            }
-            Err(message) => {
-                eprintln!("error: --fault-plan: {message}");
-                return ExitCode::FAILURE;
-            }
+    let armed = arg_value(&args, "--fault-plan").is_some();
+    let cancel = match arg_value(&args, "--fault-plan").map(|plan| FaultPlan::parse(&plan)) {
+        None => CancelToken::new(),
+        Some(Ok(plan)) => {
+            log_info!("campaign", "fault plan armed: {plan}");
+            CancelToken::new().with_fault_plan(plan)
         }
-    }
+        Some(Err(message)) => {
+            eprintln!("error: --fault-plan: {message}");
+            return ExitCode::FAILURE;
+        }
+    };
     let result = match command {
-        "run" => cmd_run(&args[1..], false),
-        "resume" => cmd_run(&args[1..], true),
+        "run" => cmd_run(&args[1..], false, &cancel),
+        "resume" => cmd_run(&args[1..], true, &cancel),
         "report" => cmd_report(&args[1..]),
-        "sca-run" => cmd_sca_run(&args[1..], false),
-        "sca-resume" => cmd_sca_run(&args[1..], true),
+        "sca-run" => cmd_sca_run(&args[1..], false, &cancel),
+        "sca-resume" => cmd_sca_run(&args[1..], true, &cancel),
         "sca-report" => cmd_sca_report(&args[1..]),
         "--help" | "-h" | "help" => {
             println!("{USAGE}");
@@ -84,8 +86,8 @@ fn main() -> ExitCode {
     if let Some(monitor) = monitor {
         monitor.finish();
     }
-    if tsc3d_exec::fault::is_armed() {
-        let fired = tsc3d_exec::fault::disarm();
+    if armed {
+        let fired = cancel.fired_faults();
         log_info!("campaign", "fault harness: {} fault(s) fired", fired.len());
         if let Some(path) = &fault_log {
             write_fault_log(path, &fired);
@@ -106,7 +108,7 @@ fn main() -> ExitCode {
 /// Writes the fired-fault log as JSONL (one `{site, hit, action}` object per line) —
 /// the CI chaos-smoke artifact. Always written when requested, even if empty: an empty
 /// log proves the plan did not fire.
-fn write_fault_log(path: &PathBuf, fired: &[tsc3d_exec::fault::FaultRecord]) {
+fn write_fault_log(path: &PathBuf, fired: &[FaultRecord]) {
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {
             let _ = std::fs::create_dir_all(parent);
@@ -210,7 +212,11 @@ fn parse_usize(args: &[String], flag: &str) -> Result<Option<usize>, String> {
         .transpose()
 }
 
-fn parse_options(args: &[String], resume: bool) -> Result<CampaignOptions, String> {
+fn parse_options(
+    args: &[String],
+    resume: bool,
+    cancel: &CancelToken,
+) -> Result<CampaignOptions, String> {
     let workers =
         parse_usize(args, "--workers")?.unwrap_or_else(tsc3d::experiment::default_workers);
     let shard = match arg_value(args, "--shard") {
@@ -241,6 +247,7 @@ fn parse_options(args: &[String], resume: bool) -> Result<CampaignOptions, Strin
     options.resume = resume;
     options.retry = retry;
     options.fsync = arg_present(args, "--fsync");
+    options.cancel = cancel.clone();
     Ok(options)
 }
 
@@ -380,8 +387,8 @@ fn print_spec(spec: &CampaignSpec, options: &CampaignOptions) {
     );
 }
 
-fn cmd_run(args: &[String], resume: bool) -> Result<(), String> {
-    let mut options = parse_options(args, resume)?;
+fn cmd_run(args: &[String], resume: bool, cancel: &CancelToken) -> Result<(), String> {
+    let mut options = parse_options(args, resume, cancel)?;
     let outcome = if resume {
         // One read of the results file: spec from the header, completed jobs skipped,
         // torn tail repaired. Without an explicit --shard the file's own shard is
@@ -535,8 +542,8 @@ fn parse_sca_spec(args: &[String]) -> Result<ScaCampaignSpec, String> {
     Ok(spec)
 }
 
-fn cmd_sca_run(args: &[String], resume: bool) -> Result<(), String> {
-    let mut options = parse_options(args, resume)?;
+fn cmd_sca_run(args: &[String], resume: bool, cancel: &CancelToken) -> Result<(), String> {
+    let mut options = parse_options(args, resume, cancel)?;
     let outcome = if resume {
         let path = options
             .results_path

@@ -30,7 +30,8 @@ pub struct CampaignOptions {
     pub retry: JobRetryPolicy,
     /// Campaign-wide cancel token: once it fires, queued jobs are skipped (left
     /// record-less, so a resume re-runs them) and in-flight jobs stop at their next
-    /// checkpoint.
+    /// checkpoint. A fault plan armed on it ([`CancelToken::with_fault_plan`]) reaches
+    /// every job of the run and no other run.
     pub cancel: CancelToken,
     /// Sync every appended record line to disk (`fsync`) instead of just flushing to the
     /// OS — per-line crash durability at a per-job I/O cost.
@@ -50,6 +51,12 @@ impl CampaignOptions {
             cancel: CancelToken::new(),
             fsync: false,
         }
+    }
+
+    /// The pool a campaign run owns: `workers` threads execute its batch (the caller
+    /// helps), and the workers reach the `exec-worker` site under `cancel`'s fault plan.
+    pub(crate) fn pool(&self) -> Pool {
+        Pool::with_faults(self.workers.max(1) - 1, &self.cancel)
     }
 }
 
@@ -213,7 +220,7 @@ pub fn run_campaign(
     spec: &CampaignSpec,
     options: &CampaignOptions,
 ) -> Result<CampaignOutcome, CampaignError> {
-    let pool = Pool::with_batch_workers(options.workers);
+    let pool = options.pool();
     let outcome = run_campaign_on(&pool, spec, options);
     pool.shutdown();
     outcome
@@ -285,7 +292,7 @@ pub fn resume_from_file(
         resume: true,
         ..CampaignOptions::in_memory(workers)
     };
-    let pool = Pool::with_batch_workers(workers);
+    let pool = options.pool();
     let outcome = run_with_prior(&pool, &spec, &options, Some(file));
     pool.shutdown();
     Ok((spec, outcome?))

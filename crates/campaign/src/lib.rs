@@ -21,7 +21,9 @@
 //! * **Trace-level side-channel jobs** ([`mod@sca`]): an [`ScaCampaignSpec`] expands
 //!   benchmarks × keys × sensor configurations × mitigation on/off into seeded CPA
 //!   evaluations (`tsc3d-sca`) with measurements-to-disclosure aggregated per group and
-//!   an explicit mitigation verdict in the report.
+//!   an explicit mitigation verdict in the report. Each flow and each distinct adjoint
+//!   kernel (per mitigation and sensor geometry) is computed once per campaign run and
+//!   shared by the jobs that need it.
 //! * **CLI**: the `campaign` binary wires it together (`run`, `resume`, `report`,
 //!   `sca-run`, `sca-resume`, `sca-report`, `--smoke` for CI).
 //!
@@ -41,6 +43,7 @@ pub mod codec;
 pub mod engine;
 pub mod job;
 pub mod json;
+mod memo;
 pub mod progress;
 pub mod record;
 pub mod retry;

@@ -16,6 +16,7 @@ use crate::codec::{flow_config_from_json, flow_config_to_json, DecodeError};
 use crate::engine::{CampaignError, CampaignOptions};
 use crate::job::{fnv1a, splitmix64, Shard};
 use crate::json::Json;
+use crate::memo::Memo;
 use crate::retry::{is_cancellation_kind, JobRetryPolicy};
 use crate::sink::{repair_torn_tail, SinkError};
 use std::collections::BTreeMap;
@@ -29,8 +30,8 @@ use tsc3d::exec::{CancelToken, Pool};
 use tsc3d::{display_chain, FlowConfig, Setup, TscFlow};
 use tsc3d_netlist::suite::Benchmark;
 use tsc3d_sca::{
-    run_on_flow_with_cancel, AttackConfig, LeakageModel, Mitigation, ScaOutcome, SensorConfig,
-    TargetPolicy, WorkloadConfig,
+    run_on_kernel, AttackConfig, AttackKernel, KernelKey, LeakageModel, Mitigation, ScaError,
+    ScaOutcome, SensorConfig, TargetPolicy, WorkloadConfig,
 };
 
 /// A named sensor configuration — one value of the spec's sensor axis.
@@ -204,16 +205,21 @@ pub struct ScaJobMetrics {
     pub best_correlation: f64,
     /// Traces observed.
     pub traces: f64,
-    /// Transient kernel lane-steps of the attack: substeps × sensors for the adjoint
-    /// engine's one pass (one lane per sensor), independent of the trace count.
+    /// Lane-steps of the attack's adjoint kernel pass (substeps × sensors), independent of
+    /// the trace count. Jobs sharing a kernel all record its lane-steps, whichever job
+    /// ran the pass, so records do not depend on scheduling. The work actually done is
+    /// the `tsc3d_sca_transient_steps_total` counter, which counts each executed pass
+    /// once.
     pub transient_steps: f64,
     /// Dummy TSVs of the flow's final plan (0 for baseline jobs by construction of the
     /// attack's TSV fields, but recorded from the flow for context).
     pub dummy_tsvs: f64,
     /// The attacked module index.
     pub target_module: f64,
-    /// Job runtime in seconds: the attack, plus the flow when this job was the one that
-    /// computed it (flows are memoized per (benchmark, seed) within a campaign run).
+    /// Job runtime in seconds: the work this job did — its trace loop and CPA, plus the
+    /// flow and the kernel pass when this job was the one that computed them (both are
+    /// memoized within a campaign run). Time blocked on another job's flow or kernel is
+    /// not included.
     pub runtime_s: f64,
 }
 
@@ -633,55 +639,26 @@ pub fn sca_spec_from_json(value: &Json) -> Result<ScaCampaignSpec, DecodeError> 
 // --- Execution --------------------------------------------------------------------
 
 /// The per-(benchmark, seed) flow product shared by every job of that group.
-struct FlowProduct {
+pub(crate) struct FlowProduct {
     design: tsc3d_netlist::Design,
     /// The flow result, or its typed failure as `(kind, message)`.
     flow: Result<tsc3d::FlowResult, (String, String)>,
+    /// The flow's adjoint kernels, one per [`KernelKey`] (mitigation and sensor
+    /// geometry), or the typed error of building it.
+    kernels: Memo<KernelKey, Result<Arc<AttackKernel>, ScaError>>,
 }
 
-/// Memo of flow results within one campaign run: [`ScaJob::run_seed`] depends only on
+/// Memo of flow products within one campaign run: [`ScaJob::run_seed`] depends only on
 /// (benchmark, seed), so the key/sensor/mitigation axes all attack the *identical*
 /// floorplan — computing it once per group keeps the 8-job smoke from re-annealing the
-/// same design 8 times. Per-group mutexes let distinct groups anneal in parallel while
-/// same-group jobs wait for (and then share) the first computation.
-/// One lazily filled, independently lockable cache slot.
-type FlowSlot = Arc<Mutex<Option<Arc<FlowProduct>>>>;
+/// same design 8 times, and the product's kernel memo keeps it from repeating the
+/// adjoint pass of each (mitigation, sensor geometry) per key and noise level.
+pub(crate) type FlowCache = Memo<(Benchmark, u64), Arc<FlowProduct>>;
 
-#[derive(Default)]
-pub(crate) struct FlowCache {
-    slots: Mutex<std::collections::HashMap<(Benchmark, u64), FlowSlot>>,
-}
-
-impl FlowCache {
-    fn get(&self, spec: &ScaCampaignSpec, job: &ScaJob) -> Arc<FlowProduct> {
-        let slot = Arc::clone(
-            self.slots
-                .lock()
-                .expect("flow cache index")
-                .entry((job.benchmark, job.seed))
-                .or_default(),
-        );
-        // Same-group jobs block here while the first one runs the flow.
-        let mut guard = {
-            let _span = tsc3d_obs::span!("flow_cache_wait");
-            slot.lock().expect("flow cache slot")
-        };
-        if let Some(product) = guard.as_ref() {
-            return Arc::clone(product);
-        }
-        let design = tsc3d_netlist::suite::generate(job.benchmark, job.seed);
-        let flow = TscFlow::new(spec.flow)
-            .run(&design, job.run_seed())
-            .map_err(|error| (format!("flow-{}", error.kind()), display_chain(&error)));
-        let product = Arc::new(FlowProduct { design, flow });
-        *guard = Some(Arc::clone(&product));
-        product
-    }
-}
-
-/// Executes one sca job: flow (or its memoized result), then the attack against the
-/// job's mitigation state. `runtime_s` covers the work this job actually performed — the
-/// flow is included only for the job that computed it.
+/// Executes one sca job: flow and adjoint kernel (or their memoized results), then the
+/// attack over the kernel. `runtime_s` covers the work this job actually performed — the
+/// flow and the kernel pass count only for the job that computed them, and time spent
+/// blocked on another job's computation is excluded. Run alone, a job computes both.
 pub fn execute_sca_job(spec: &ScaCampaignSpec, job: &ScaJob) -> ScaJobRecord {
     execute_with_flows(spec, job, &FlowCache::default(), &CancelToken::new())
 }
@@ -696,10 +673,21 @@ fn execute_with_flows(
     let metrics = crate::obs_metrics::get();
     let running = crate::obs_metrics::RunningGuard::enter();
     let started = std::time::Instant::now();
-    // The memoized flow is a shared product (other jobs of the same (benchmark, seed)
-    // group attack it), so it runs uncancellable; only this job's own attack polls the
-    // token at the `sca-batch` checkpoint.
-    let product = flows.get(spec, job);
+    // The memoized flow and kernels are shared products (other jobs of the group use
+    // them), so no single job's cancellation may abort them: the flow runs under a
+    // detached token that keeps only the campaign's fault plan, and a kernel pass has no
+    // checkpoint. Only this job's own trace loop polls `cancel`.
+    let (product, mut waited) = flows.get((job.benchmark, job.seed), "flow_cache_wait", || {
+        let design = tsc3d_netlist::suite::generate(job.benchmark, job.seed);
+        let flow = TscFlow::new(spec.flow)
+            .run_with_cancel(&design, job.run_seed(), &cancel.detached())
+            .map_err(|error| (format!("flow-{}", error.kind()), display_chain(&error)));
+        Arc::new(FlowProduct {
+            design,
+            flow,
+            kernels: Memo::default(),
+        })
+    });
     let outcome = match &product.flow {
         Err((kind, message)) => ScaJobOutcome::Failure {
             kind: kind.clone(),
@@ -708,16 +696,23 @@ fn execute_with_flows(
         Ok(flow) => {
             let mut attack = spec.attack;
             attack.sensors = job.sensor.config;
-            match run_on_flow_with_cancel(
-                &product.design,
-                flow,
-                &attack,
-                job.trace_seed(),
-                job.key_seed,
-                job.mitigation,
-                None,
-                cancel,
-            ) {
+            let result = attack.validate().and_then(|()| {
+                let key = KernelKey::new(&attack, job.mitigation);
+                let (kernel, kernel_wait) = product.kernels.get(key, "kernel_wait", || {
+                    AttackKernel::on_flow(&product.design, flow, &attack, job.mitigation)
+                        .map(Arc::new)
+                });
+                waited += kernel_wait;
+                run_on_kernel(
+                    &*kernel?,
+                    flow,
+                    &attack,
+                    job.trace_seed(),
+                    job.key_seed,
+                    cancel,
+                )
+            });
+            match result {
                 Err(error) => ScaJobOutcome::Failure {
                     kind: error.kind().to_string(),
                     message: display_chain(&error),
@@ -725,7 +720,7 @@ fn execute_with_flows(
                 Ok(outcome) => ScaJobOutcome::Success(ScaJobMetrics::from_outcome(
                     &outcome,
                     flow.dummy_tsvs(),
-                    started.elapsed().as_secs_f64(),
+                    started.elapsed().saturating_sub(waited).as_secs_f64(),
                 )),
             }
         }
@@ -998,7 +993,7 @@ pub fn run_sca_campaign(
     spec: &ScaCampaignSpec,
     options: &CampaignOptions,
 ) -> Result<ScaCampaignOutcome, CampaignError> {
-    let pool = Pool::with_batch_workers(options.workers);
+    let pool = options.pool();
     let outcome = run_sca_campaign_on(&pool, spec, options);
     pool.shutdown();
     outcome
@@ -1055,7 +1050,7 @@ pub fn resume_sca_from_file(
         resume: true,
         ..CampaignOptions::in_memory(workers)
     };
-    let pool = Pool::with_batch_workers(workers);
+    let pool = options.pool();
     let outcome = run_sca_with_prior(&pool, &spec, &options, Some(file));
     pool.shutdown();
     Ok((spec, outcome?))
@@ -1236,14 +1231,14 @@ pub struct ScaGroupSummary {
     pub best_correlation: crate::aggregate::Stat,
     /// Dummy-TSV counts of the underlying flows.
     pub dummy_tsvs: crate::aggregate::Stat,
-    /// Transient grid steps per job.
+    /// Kernel lane-steps per job (see [`ScaJobMetrics::transient_steps`]).
     pub transient_steps: crate::aggregate::Stat,
     /// Job runtimes in seconds.
     pub runtime_s: crate::aggregate::Stat,
-    /// Trace-simulation throughput of the group: total simulated traces over total job
-    /// runtime (0 when no successful job recorded runtime). Runtime includes the flow
-    /// for the one job per (benchmark, seed) that computed it, so this is a conservative
-    /// floor on the batched trace engine's rate.
+    /// Attack throughput of the group: total simulated traces over total job runtime (0
+    /// when no successful job recorded runtime). Runtime includes the flow and the
+    /// kernel pass for the jobs that computed them, so this is a conservative floor on
+    /// the per-trace rate of the adjoint engine (readings plus CPA).
     pub traces_per_sec: f64,
 }
 

@@ -3,15 +3,16 @@
 //! that suffers panics, deadline misses and transient errors but retries to success
 //! produces records byte-identical to an undisturbed run (modulo wall-clock fields).
 //!
-//! The fault harness is process-global, so every test that arms it holds
-//! [`tsc3d_exec::fault::test_lock`] for its whole body.
+//! Each test arms its plan on its own campaign's cancel token, so the hit counters are
+//! scoped to that campaign and the tests run in parallel without consuming each other's
+//! hits.
 
 use std::path::PathBuf;
 use tsc3d_campaign::{
     read_campaign_file, resume_from_file, run_campaign, CampaignOptions, CampaignSpec, JobOutcome,
     JobRecord, JobRetryPolicy,
 };
-use tsc3d_exec::fault::{self, FaultAction, FaultPlan};
+use tsc3d_exec::{CancelToken, FaultAction, FaultPlan};
 use tsc3d_netlist::suite::Benchmark;
 
 /// A fast spec: 1 benchmark × 2 setups × 2 seeds = 4 jobs, each well under a second.
@@ -58,7 +59,6 @@ fn temp_file(name: &str) -> PathBuf {
 /// to the fault-free baseline.
 #[test]
 fn campaign_with_injected_faults_retries_to_a_byte_identical_outcome() {
-    let _guard = fault::test_lock();
     let spec = chaos_spec();
     let baseline = run_campaign(&spec, &CampaignOptions::in_memory(2)).unwrap();
     assert!(
@@ -69,24 +69,26 @@ fn campaign_with_injected_faults_retries_to_a_byte_identical_outcome() {
         "the baseline must be clean for the identity comparison to be meaningful"
     );
 
-    // One panic (SA epoch), one delay that overshoots the 2.5 s attempt budget (flow
+    // One panic (SA epoch), one delay that overshoots the 10 s attempt budget (flow
     // stage boundary: the checkpoint sleeps, then sees the expired deadline), one
     // transient typed error. Each fires exactly once; all three kinds are retryable.
-    fault::arm(
-        FaultPlan::parse("sa-epoch:2:panic,flow-stage:5:delay:4000,flow-stage:9:error").unwrap(),
-    );
+    // The budget leaves room for a job slowed by the other chaos tests running
+    // concurrently on the same cores (a fault-free attempt takes under 2 s alone).
     let mut options = CampaignOptions::in_memory(2);
+    options.cancel = CancelToken::new().with_fault_plan(
+        FaultPlan::parse("sa-epoch:2:panic,flow-stage:5:delay:12000,flow-stage:9:error").unwrap(),
+    );
     options.retry = JobRetryPolicy {
         // Generous attempt budget: even if every fault lands on the same job it still
         // retries through to success.
         max_attempts: 5,
         base_backoff_ms: 1,
         max_backoff_ms: 2,
-        attempt_deadline_ms: Some(2_500),
+        attempt_deadline_ms: Some(10_000),
         ..JobRetryPolicy::default()
     };
     let chaotic = run_campaign(&spec, &options).unwrap();
-    let fired = fault::disarm();
+    let fired = options.cancel.fired_faults();
 
     assert_eq!(fired.len(), 3, "every armed fault fired: {fired:?}");
     assert!(fired.iter().any(|f| f.action == FaultAction::Panic));
@@ -106,15 +108,15 @@ fn campaign_with_injected_faults_retries_to_a_byte_identical_outcome() {
 /// file, skip recorded jobs) does not re-run the quarantined job.
 #[test]
 fn exhausted_retries_quarantine_the_job_and_resume_skips_it() {
-    let _guard = fault::test_lock();
     let spec = chaos_spec();
     let path = temp_file("quarantine");
 
     // Serial execution: the first job's two attempts visit the flow-stage boundary at
-    // global hits 1-4 (panic at 1 aborts the attempt) and 2-5, so both panic; the
-    // remaining jobs run fault-free.
-    fault::arm(FaultPlan::parse("flow-stage:1:panic,flow-stage:5:panic").unwrap());
+    // the campaign's hits 1-4 (panic at 1 aborts the attempt) and 2-5, so both panic;
+    // the remaining jobs run fault-free.
     let mut options = CampaignOptions::in_memory(1);
+    options.cancel = CancelToken::new()
+        .with_fault_plan(FaultPlan::parse("flow-stage:1:panic,flow-stage:5:panic").unwrap());
     options.results_path = Some(path.clone());
     options.retry = JobRetryPolicy {
         max_attempts: 2,
@@ -123,7 +125,7 @@ fn exhausted_retries_quarantine_the_job_and_resume_skips_it() {
         ..JobRetryPolicy::default()
     };
     let outcome = run_campaign(&spec, &options).unwrap();
-    let fired = fault::disarm();
+    let fired = options.cancel.fired_faults();
 
     assert_eq!(fired.len(), 2, "both panics fired: {fired:?}");
     let quarantined: Vec<&JobRecord> = outcome

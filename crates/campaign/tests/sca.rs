@@ -8,8 +8,8 @@
 
 use std::path::PathBuf;
 use tsc3d_campaign::{
-    aggregate_sca, read_sca_file, render_sca_report, resume_sca_from_file, run_sca_campaign,
-    CampaignOptions, ScaCampaignSpec, ScaJobOutcome, ScaJobRecord,
+    aggregate_sca, execute_sca_job, read_sca_file, render_sca_report, resume_sca_from_file,
+    run_sca_campaign, CampaignOptions, ScaCampaignSpec, ScaJobOutcome, ScaJobRecord, Shard,
 };
 use tsc3d_netlist::suite::Benchmark;
 use tsc3d_sca::Mitigation;
@@ -154,5 +154,55 @@ fn sca_results_files_refuse_silent_overwrites_and_wrong_specs() {
     resume_options.resume = true;
     let err = run_sca_campaign(&other, &resume_options).unwrap_err();
     assert!(err.to_string().contains("spec"), "{err}");
+    std::fs::remove_file(&path).unwrap();
+}
+
+/// Records keyed by job id, `runtime_s` zeroed, rendered as result-file lines.
+fn lines(records: &[ScaJobRecord]) -> Vec<String> {
+    let mut records = normalized(records);
+    records.sort_by_key(|r| r.job_id);
+    records.iter().map(ScaJobRecord::to_json_line).collect()
+}
+
+/// The kernel-sharing contract: a campaign computes each flow and each adjoint kernel
+/// once and shares them across jobs, yet its records are byte-identical to running every
+/// job alone ([`execute_sca_job`] computes its own flow and kernel) — at any worker
+/// count, across a shard partition and across a kill/resume boundary.
+#[test]
+fn shared_kernels_reproduce_unshared_jobs_across_workers_shards_and_resume() {
+    let spec = ScaCampaignSpec::smoke();
+    let alone: Vec<ScaJobRecord> = spec
+        .expand()
+        .iter()
+        .map(|job| execute_sca_job(&spec, job))
+        .collect();
+    assert!(alone.iter().all(ScaJobRecord::is_success));
+    let want = lines(&alone);
+
+    for workers in [1, 2, 4] {
+        let shared = run_sca_campaign(&spec, &CampaignOptions::in_memory(workers)).unwrap();
+        assert_eq!(lines(&shared.records), want, "{workers} workers");
+    }
+
+    let mut sharded = Vec::new();
+    for k in 0..2 {
+        let mut options = CampaignOptions::in_memory(2);
+        options.shard = Shard::parse(&format!("{k}/2")).unwrap();
+        sharded.extend(run_sca_campaign(&spec, &options).unwrap().records);
+    }
+    assert_eq!(lines(&sharded), want, "shards 0/2 + 1/2");
+
+    // Kill after three records (plus a torn fragment), then resume on 4 workers: the
+    // resumed jobs rebuild the flow and kernels the killed run had already shared.
+    let path = temp_file("sca-kernel-resume");
+    let mut options = CampaignOptions::in_memory(2);
+    options.results_path = Some(path.clone());
+    run_sca_campaign(&spec, &options).unwrap();
+    let content = std::fs::read_to_string(&path).unwrap();
+    let kept: Vec<&str> = content.lines().take(4).collect();
+    std::fs::write(&path, format!("{}\n{{\"job_id\":5,\"ben", kept.join("\n"))).unwrap();
+    let (_, resumed) = resume_sca_from_file(&path, 4, None).unwrap();
+    assert_eq!(resumed.resumed, 3);
+    assert_eq!(lines(&resumed.records), want, "kill/resume");
     std::fs::remove_file(&path).unwrap();
 }

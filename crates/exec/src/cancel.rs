@@ -16,7 +16,7 @@ use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::fault::InjectedFault;
+use crate::fault::{ArmedPlan, FaultPlan, FaultRecord, InjectedFault};
 
 /// Why a [`CancelToken`] fired.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -66,12 +66,17 @@ const CANCELLED_SHUTDOWN: u8 = 3;
 /// by reading the clock, never by writing the shared state, which keeps
 /// sibling handles (and later attempts) unpoisoned.
 ///
+/// A token may also carry an armed [`FaultPlan`] ([`CancelToken::with_fault_plan`]):
+/// every handle derived from it shares the plan's hit counters, so a chaos run's
+/// faults are scoped to the campaign or job the token belongs to.
+///
 /// The default token never fires; [`CancelToken::default`] and
 /// [`CancelToken::new`] are equivalent.
 #[derive(Clone, Debug, Default)]
 pub struct CancelToken {
     state: Arc<AtomicU8>,
     deadline: Option<Instant>,
+    faults: Option<Arc<ArmedPlan>>,
 }
 
 impl CancelToken {
@@ -91,7 +96,57 @@ impl CancelToken {
                 Some(existing) => existing.min(candidate),
                 None => candidate,
             }),
+            faults: self.faults.clone(),
         }
+    }
+
+    /// A handle on the same cancel flag and deadline that carries `plan`, armed
+    /// with fresh hit counters (replacing any plan this handle carried). Every
+    /// handle derived from the result shares the plan's counters and fired log.
+    pub fn with_fault_plan(&self, plan: FaultPlan) -> CancelToken {
+        CancelToken {
+            faults: Some(Arc::new(ArmedPlan::new(plan))),
+            ..self.clone()
+        }
+    }
+
+    /// A live token without a deadline that keeps only this token's fault plan:
+    /// for work shared by several jobs (a memoized flow) that no single job's
+    /// cancellation may abort, but that a chaos run still reaches.
+    pub fn detached(&self) -> CancelToken {
+        CancelToken {
+            faults: self.faults.clone(),
+            ..CancelToken::default()
+        }
+    }
+
+    /// The fault hook of `site`: with a plan armed, bumps the site's hit counter
+    /// and fires a matching spec (panicking, sleeping, or returning the injected
+    /// error); without one, a single branch.
+    ///
+    /// # Errors
+    ///
+    /// [`InjectedFault`] when a matching spec's action is
+    /// [`crate::FaultAction::Error`].
+    ///
+    /// # Panics
+    ///
+    /// When a matching spec's action is [`crate::FaultAction::Panic`] —
+    /// deliberately: the point is to exercise the caller's containment.
+    pub fn fault_check(&self, site: &'static str) -> Result<(), InjectedFault> {
+        match &self.faults {
+            None => Ok(()),
+            Some(plan) => plan.check(site),
+        }
+    }
+
+    /// The faults fired so far under this token's plan, in firing order (empty
+    /// without a plan).
+    pub fn fired_faults(&self) -> Vec<FaultRecord> {
+        self.faults
+            .as_ref()
+            .map(|plan| plan.fired())
+            .unwrap_or_default()
     }
 
     /// Cancels every handle sharing this token's flag. The first reason wins;
@@ -173,7 +228,7 @@ impl std::fmt::Display for Interrupt {
 
 impl std::error::Error for Interrupt {}
 
-/// The unified cooperative checkpoint: first the fault harness (which may
+/// The unified cooperative checkpoint: first the token's fault plan (which may
 /// panic, sleep, or return an injected error for `site`), then the token.
 ///
 /// An injected delay runs *before* the cancel check, so a delay fault combined
@@ -181,15 +236,15 @@ impl std::error::Error for Interrupt {}
 /// `Interrupt::Cancelled(Deadline)` at the same checkpoint — the harness's way
 /// of manufacturing a deadline miss.
 ///
-/// Off cost (fault harness disarmed, token live, no deadline): two relaxed
-/// atomic loads.
+/// Off cost (no fault plan, token live, no deadline): one branch and one
+/// relaxed atomic load.
 ///
 /// # Errors
 ///
 /// [`Interrupt::Fault`] if the armed fault plan injects an error here,
 /// [`Interrupt::Cancelled`] if the token fired.
 pub fn checkpoint(site: &'static str, cancel: &CancelToken) -> Result<(), Interrupt> {
-    crate::fault::check(site).map_err(Interrupt::Fault)?;
+    cancel.fault_check(site).map_err(Interrupt::Fault)?;
     cancel.check().map_err(Interrupt::Cancelled)
 }
 

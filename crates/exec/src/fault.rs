@@ -2,24 +2,24 @@
 //!
 //! Every cooperative checkpoint in the workspace is a named *fault site*
 //! (`"flow-stage"`, `"sa-epoch"`, `"solver-sweep"`, `"sca-batch"`,
-//! `"exec-worker"`, …). When a [`FaultPlan`] is armed, the k-th time a site is
-//! hit the planned [`FaultAction`] fires: a panic, an injected error, or a
-//! delay (which, combined with a deadline token, manufactures a deterministic
-//! deadline miss). Disarmed — the default — a check is a single relaxed atomic
-//! load, the same off-cost discipline as `tsc3d-obs`.
+//! `"exec-worker"`, …). A [`FaultPlan`] is armed on a [`crate::CancelToken`]
+//! ([`crate::CancelToken::with_fault_plan`]); the k-th time a site is checked
+//! through that token — or any handle derived from it — the planned
+//! [`FaultAction`] fires: a panic, an injected error, or a delay (which,
+//! combined with a deadline token, manufactures a deterministic deadline miss).
+//! A token without a plan — the default — pays one branch per check.
 //!
-//! The harness is process-global (one plan at a time), mirroring how a real
-//! chaos run arms the whole process. Tests that arm plans must serialize on
-//! [`test_lock`] or live in their own integration-test binary.
+//! Hit counters belong to the armed plan, so they are scoped to one run (a
+//! campaign, a job): two campaigns armed with their own plans in the same
+//! process never consume each other's hits.
 //!
 //! Determinism contract: sites are hit in a deterministic *per-job* order, but
-//! under a multi-worker pool *which* concurrent job absorbs the k-th global
-//! hit of a shared site can vary. Chaos tests therefore assert on what must
-//! hold regardless: every injected failure is retried or quarantined typed,
-//! and the surviving results are byte-identical to a fault-free run.
+//! under a multi-worker pool *which* concurrent job absorbs the k-th hit of a
+//! shared site can vary. Chaos tests therefore assert on what must hold
+//! regardless: every injected failure is retried or quarantined typed, and the
+//! surviving results are byte-identical to a fault-free run.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
@@ -189,122 +189,80 @@ impl std::fmt::Display for FaultRecord {
     }
 }
 
-/// Everything behind the armed flag: hit counters, pending specs, fired log.
+/// Everything an armed plan tracks: hit counters, pending specs, fired log.
+#[derive(Debug)]
 struct HarnessState {
     counters: HashMap<String, u64>,
     pending: Vec<FaultSpec>,
     fired: Vec<FaultRecord>,
 }
 
-/// Fast-path gate: [`check`] is a single relaxed load of this while disarmed.
-static ARMED: AtomicBool = AtomicBool::new(false);
-static STATE: Mutex<Option<HarnessState>> = Mutex::new(None);
+/// A [`FaultPlan`] armed for one run: its per-site hit counters, the specs that
+/// have not fired yet and the fired log. Shared (behind an `Arc`) by every
+/// [`crate::CancelToken`] handle derived from the token it was armed on.
+#[derive(Debug)]
+pub(crate) struct ArmedPlan {
+    state: Mutex<HarnessState>,
+}
 
-/// Serializes tests (or embedded harness users) that arm fault plans: the
-/// harness is process-global, so two concurrently armed plans would corrupt
-/// each other's hit counts. Hold the guard across `arm`..`disarm`.
-pub fn test_lock() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    // A previous chaos test panicking (deliberately!) while holding the lock
-    // poisons it; the harness state itself is re-armed per test, so continuing
-    // is sound.
-    match LOCK.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
+impl ArmedPlan {
+    pub(crate) fn new(plan: FaultPlan) -> Self {
+        Self {
+            state: Mutex::new(HarnessState {
+                counters: HashMap::new(),
+                pending: plan.specs,
+                fired: Vec::new(),
+            }),
+        }
     }
-}
 
-/// Arms `plan`, replacing any previously armed plan and clearing counters and
-/// the fired log.
-pub fn arm(plan: FaultPlan) {
-    let mut state = lock_state();
-    *state = Some(HarnessState {
-        counters: HashMap::new(),
-        pending: plan.specs,
-        fired: Vec::new(),
-    });
-    ARMED.store(true, Ordering::Release);
-}
-
-/// Disarms the harness and returns the fired log (empty if it was not armed).
-pub fn disarm() -> Vec<FaultRecord> {
-    let mut state = lock_state();
-    ARMED.store(false, Ordering::Release);
-    state.take().map(|s| s.fired).unwrap_or_default()
-}
-
-/// The faults fired so far, in firing order, without disarming.
-pub fn fired() -> Vec<FaultRecord> {
-    lock_state()
-        .as_ref()
-        .map(|s| s.fired.clone())
-        .unwrap_or_default()
-}
-
-/// Whether a plan is currently armed.
-pub fn is_armed() -> bool {
-    ARMED.load(Ordering::Acquire)
-}
-
-fn lock_state() -> MutexGuard<'static, Option<HarnessState>> {
-    // An injected *panic* unwinds through a caller that may hold no locks of
-    // ours (we always release before acting), but a user panic elsewhere could
-    // still poison this mutex; the state is plain data, so continue.
-    match STATE.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
+    fn lock(&self) -> MutexGuard<'_, HarnessState> {
+        // The state is released before an action runs, so only an unrelated panic
+        // could poison it; it is plain data, so continue.
+        match self.state.lock() {
+            Ok(guard) => guard,
+            Err(poisoned) => poisoned.into_inner(),
+        }
     }
-}
 
-/// The fault hook every checkpoint calls (see also [`crate::fault_point!`]).
-///
-/// Disarmed: one relaxed atomic load. Armed: bumps the site's hit counter and
-/// fires at most one matching spec — panicking, sleeping, or returning the
-/// injected error. Each spec fires exactly once.
-///
-/// # Errors
-///
-/// [`InjectedFault`] when a matching spec's action is [`FaultAction::Error`].
-///
-/// # Panics
-///
-/// When a matching spec's action is [`FaultAction::Panic`] — deliberately: the
-/// whole point is to exercise the caller's containment.
-pub fn check(site: &'static str) -> Result<(), InjectedFault> {
-    if !ARMED.load(Ordering::Relaxed) {
-        return Ok(());
+    /// The faults fired so far, in firing order.
+    pub(crate) fn fired(&self) -> Vec<FaultRecord> {
+        self.lock().fired.clone()
     }
-    let action = {
-        let mut guard = lock_state();
-        let Some(state) = guard.as_mut() else {
-            return Ok(());
+
+    /// Bumps `site`'s hit counter and fires at most one matching spec —
+    /// panicking, sleeping, or returning the injected error. Each spec fires
+    /// exactly once.
+    pub(crate) fn check(&self, site: &'static str) -> Result<(), InjectedFault> {
+        let action = {
+            let mut state = self.lock();
+            let counter = state.counters.entry(site.to_string()).or_insert(0);
+            *counter += 1;
+            let hit = *counter;
+            let Some(index) = state
+                .pending
+                .iter()
+                .position(|spec| spec.site == site && spec.hit == hit)
+            else {
+                return Ok(());
+            };
+            let spec = state.pending.swap_remove(index);
+            state.fired.push(FaultRecord {
+                site: spec.site,
+                hit,
+                action: spec.action,
+            });
+            spec.action
+            // Lock released here: the action runs (and possibly panics or sleeps)
+            // without holding the plan's state.
         };
-        let counter = state.counters.entry(site.to_string()).or_insert(0);
-        *counter += 1;
-        let hit = *counter;
-        let Some(index) = state
-            .pending
-            .iter()
-            .position(|spec| spec.site == site && spec.hit == hit)
-        else {
-            return Ok(());
-        };
-        let spec = state.pending.swap_remove(index);
-        state.fired.push(FaultRecord {
-            site: spec.site,
-            hit,
-            action: spec.action,
-        });
-        spec.action
-        // Lock released here: the action runs (and possibly panics or sleeps)
-        // without holding the harness state.
-    };
-    match action {
-        FaultAction::Panic => panic!("injected fault: panic at site '{site}'"),
-        FaultAction::Error => Err(InjectedFault { site }),
-        FaultAction::Delay(ms) => {
-            std::thread::sleep(Duration::from_millis(ms));
-            Ok(())
+        match action {
+            FaultAction::Panic => panic!("injected fault: panic at site '{site}'"),
+            FaultAction::Error => Err(InjectedFault { site }),
+            FaultAction::Delay(ms) => {
+                std::thread::sleep(Duration::from_millis(ms));
+                Ok(())
+            }
         }
     }
 }
@@ -331,14 +289,15 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CancelToken;
 
     #[test]
     fn disarmed_checks_are_free_and_ok() {
-        let _serial = test_lock();
-        assert!(!is_armed());
+        let token = CancelToken::new();
         for _ in 0..10 {
-            assert!(check("fault-test-anything").is_ok());
+            assert!(token.fault_check("fault-test-anything").is_ok());
         }
+        assert!(token.fired_faults().is_empty());
     }
 
     #[test]
@@ -371,43 +330,48 @@ mod tests {
 
     #[test]
     fn faults_fire_at_the_kth_hit_exactly_once() {
-        let _serial = test_lock();
-        arm(FaultPlan::parse("fault-test-err:3:error").expect("plan"));
-        assert!(check("fault-test-err").is_ok());
-        assert!(check("fault-test-err").is_ok());
+        let token =
+            CancelToken::new().with_fault_plan(FaultPlan::parse("fault-test-err:3:error").unwrap());
+        // Derived handles share the plan's counters: hits 1 and 2 land on them.
+        assert!(token.clone().fault_check("fault-test-err").is_ok());
+        assert!(token
+            .with_deadline(Duration::from_secs(60))
+            .fault_check("fault-test-err")
+            .is_ok());
         assert_eq!(
-            check("fault-test-err"),
+            token.detached().fault_check("fault-test-err"),
             Err(InjectedFault {
                 site: "fault-test-err"
             })
         );
         // The spec fired once; the 4th+ hits pass again.
-        assert!(check("fault-test-err").is_ok());
-        let log = disarm();
+        assert!(token.fault_check("fault-test-err").is_ok());
+        let log = token.fired_faults();
         assert_eq!(log.len(), 1);
         assert_eq!(log[0].site, "fault-test-err");
         assert_eq!(log[0].hit, 3);
-        assert!(!is_armed());
-        assert!(check("fault-test-err").is_ok());
+        // A token armed with the same plan counts from scratch.
+        let other =
+            CancelToken::new().with_fault_plan(FaultPlan::parse("fault-test-err:1:error").unwrap());
+        assert!(other.fault_check("fault-test-err").is_err());
+        assert!(CancelToken::new().fault_check("fault-test-err").is_ok());
     }
 
     #[test]
     fn injected_panics_unwind_and_are_logged() {
-        let _serial = test_lock();
-        arm(FaultPlan::parse("fault-test-panic:1:panic").expect("plan"));
-        let outcome = std::panic::catch_unwind(|| check("fault-test-panic"));
+        let token = CancelToken::new()
+            .with_fault_plan(FaultPlan::parse("fault-test-panic:1:panic").unwrap());
+        let outcome = std::panic::catch_unwind(|| token.fault_check("fault-test-panic"));
         assert!(outcome.is_err(), "the panic action panics");
-        assert_eq!(fired().len(), 1);
-        disarm();
+        assert_eq!(token.fired_faults().len(), 1);
     }
 
     #[test]
     fn delay_faults_sleep_then_continue() {
-        let _serial = test_lock();
-        arm(FaultPlan::parse("fault-test-delay:1:delay:20").expect("plan"));
+        let token = CancelToken::new()
+            .with_fault_plan(FaultPlan::parse("fault-test-delay:1:delay:20").unwrap());
         let start = std::time::Instant::now();
-        assert!(check("fault-test-delay").is_ok());
+        assert!(token.fault_check("fault-test-delay").is_ok());
         assert!(start.elapsed() >= Duration::from_millis(20));
-        disarm();
     }
 }

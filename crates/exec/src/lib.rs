@@ -26,7 +26,8 @@
 //! PR 9 adds the fault-tolerance layer: cooperative cancellation ([`CancelToken`],
 //! [`checkpoint`]), worker **supervision** (a panic that unwinds a worker loop is counted
 //! in `tsc3d_exec_panics_total` and the worker is respawned in place, so the pool never
-//! degrades), and the deterministic fault-injection harness ([`fault`], [`fault_point!`]).
+//! degrades), and the deterministic fault-injection harness ([`fault`]), whose plans ride
+//! on the cancel token of the run they target ([`CancelToken::with_fault_plan`]).
 
 #![warn(missing_docs)]
 
@@ -42,19 +43,6 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
-
-/// The raw fault-injection hook: `fault_point!("site")` expands to
-/// [`fault::check`]`("site")` and returns its `Result<(), InjectedFault>`.
-///
-/// Prefer [`checkpoint`] where a [`CancelToken`] is in scope — it runs the
-/// fault hook *and* the cancellation check in the documented order. The bare
-/// macro is for sites that have no token (e.g. inside the pool itself).
-#[macro_export]
-macro_rules! fault_point {
-    ($site:literal) => {
-        $crate::fault::check($site)
-    };
-}
 
 /// The workspace-wide panic counter (`tsc3d_exec_panics_total`): contained
 /// task panics plus supervised worker-loop panics.
@@ -117,6 +105,8 @@ struct Shared {
     handles: Mutex<Vec<JoinHandle<()>>>,
     /// Scheduler-internal counters, snapshotted by [`Pool::stats`].
     stats: Stats,
+    /// The token whose fault plan the workers check at the `exec-worker` site.
+    faults: CancelToken,
 }
 
 /// Scheduler-internal counters (all relaxed; exact totals, approximate ordering).
@@ -271,6 +261,12 @@ impl std::fmt::Debug for Pool {
 impl Pool {
     /// Spawns a pool with `threads` worker threads.
     pub fn new(threads: usize) -> Self {
+        Self::with_faults(threads, &CancelToken::new())
+    }
+
+    /// [`Pool::new`] whose workers check `faults`' fault plan at the `exec-worker` site
+    /// between tasks (chaos testing of worker supervision).
+    pub fn with_faults(threads: usize, faults: &CancelToken) -> Self {
         let shared = Arc::new(Shared {
             injector: Mutex::new(Injector {
                 queue: VecDeque::new(),
@@ -288,6 +284,7 @@ impl Pool {
                 executed: AtomicU64::new(0),
                 busy_ns: (0..=threads).map(|_| AtomicU64::new(0)).collect(),
             },
+            faults: faults.clone(),
         });
         for me in 0..threads {
             spawn_worker(&shared, me);
@@ -578,7 +575,7 @@ fn worker_main(shared: Arc<Shared>, me: usize) {
         // so an injected worker panic never holds (and therefore never loses) a task:
         // the replacement worker drains the same deque. Only the panic action is
         // meaningful here; an injected `error` at this site is ignored.
-        let _ = fault_point!("exec-worker");
+        let _ = shared.faults.fault_check("exec-worker");
         let Some(task) = shared.next_task(me) else {
             break;
         };

@@ -1,16 +1,14 @@
-//! Pool supervision under injected faults (PR 9 satellite).
+//! Pool supervision under injected faults.
 //!
-//! Lives in its own integration-test binary because the fault harness is
-//! process-global: pools spawned by unrelated tests would otherwise absorb the
-//! injected `exec-worker` hits. Tests that arm plans serialize on
-//! [`tsc3d_exec::fault::test_lock`].
+//! The `exec-worker` fault plan rides on the token the pool was built with
+//! ([`Pool::with_faults`]), so only that pool's workers consume its hits.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use tsc3d_exec::{fault, FaultPlan, Pool};
+use tsc3d_exec::{CancelToken, FaultPlan, Pool};
 
 /// The process-wide panic counter handle (get-or-create returns the shared cell).
 fn panics_total() -> tsc3d_obs::Counter {
@@ -22,21 +20,20 @@ fn panics_total() -> tsc3d_obs::Counter {
 
 #[test]
 fn worker_loop_panic_respawns_and_the_pool_keeps_serving() {
-    let _serial = fault::test_lock();
-    let pool = Pool::new(2);
-    let before = panics_total().get();
-
+    let faults =
+        CancelToken::new().with_fault_plan(FaultPlan::parse("exec-worker:3:panic").expect("plan"));
     // Both workers iterate the loop (spawn + after every task), so some worker
     // absorbs the 3rd hit and unwinds; the supervisor respawns it in place.
-    fault::arm(FaultPlan::parse("exec-worker:3:panic").expect("plan"));
+    let pool = Pool::with_faults(2, &faults);
+    let before = panics_total().get();
     let deadline = Instant::now() + Duration::from_secs(10);
-    while fault::fired().is_empty() {
+    while faults.fired_faults().is_empty() {
         assert!(Instant::now() < deadline, "the worker fault never fired");
         let results = pool.run_batch(vec![1u64, 2, 3, 4], |_, x| x * 2);
         assert_eq!(results, vec![2, 4, 6, 8]);
         std::thread::sleep(Duration::from_millis(1));
     }
-    let log = fault::disarm();
+    let log = faults.fired_faults();
     assert_eq!(log.len(), 1);
     assert_eq!(log[0].site, "exec-worker");
 
@@ -70,7 +67,6 @@ fn worker_loop_panic_respawns_and_the_pool_keeps_serving() {
 
 #[test]
 fn task_panic_mid_batch_keeps_pool_nested_help_and_counter_intact() {
-    let _serial = fault::test_lock();
     let pool = Arc::new(Pool::new(2));
     let before = panics_total().get();
 

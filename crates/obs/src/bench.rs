@@ -18,6 +18,10 @@
 //!   traces/sec drops in the flow rows). An errors count going 0 → N is an
 //!   infinite rise and always flags.
 //!
+//! Sections listed in [`INFORMATIONAL_SECTIONS`] (the `cpa` fold rate) are
+//! diffed like any other but never flagged: their deltas are context for
+//! the gated rows, not a gate of their own.
+//!
 //! New sections and new metric columns therefore show up in diffs without
 //! code changes — and because seeded costs are identity fields, a
 //! bit-identity break surfaces as a removed+added row instead of being
@@ -250,6 +254,10 @@ pub enum Polarity {
     LowerIsBetter,
 }
 
+/// Sections whose deltas are rendered but never flagged as regressions (and
+/// so never fail `--gate`).
+pub const INFORMATIONAL_SECTIONS: &[&str] = &["cpa"];
+
 /// The polarity a metric field name declares, or `None` for identity fields.
 pub fn metric_polarity(name: &str) -> Option<Polarity> {
     if name.ends_with("_per_sec") {
@@ -444,10 +452,11 @@ pub fn render_diff(
                     }
                     Some(old_value) => {
                         let delta = percent_delta(old_value, *value);
-                        let flagged = match polarity {
-                            Polarity::HigherIsBetter => delta < -threshold,
-                            Polarity::LowerIsBetter => delta > threshold,
-                        };
+                        let flagged = !INFORMATIONAL_SECTIONS.contains(&section.as_str())
+                            && match polarity {
+                                Polarity::HigherIsBetter => delta < -threshold,
+                                Polarity::LowerIsBetter => delta > threshold,
+                            };
                         regressed |= flagged;
                         let _ = writeln!(
                             text,
@@ -609,6 +618,19 @@ mod tests {
             .find(|l| l.starts_with("solver"))
             .unwrap();
         assert!(!solver_line.contains("REGRESSION"));
+    }
+
+    #[test]
+    fn informational_sections_diff_without_flagging() {
+        let sample = r#"{"schema":"tsc3d-bench-flow/v1","entries":[
+          {"label":"a","cpa":[{"key_bytes":2,"points":9,"traces":192,"traces_per_sec":9000.0}]},
+          {"label":"b","cpa":[{"key_bytes":2,"points":9,"traces":192,"traces_per_sec":3000.0}]}
+        ]}"#;
+        let file = parse_bench(sample).unwrap();
+        let report = render_diff(&file, "a", "b", 25.0).unwrap();
+        let line = report.text.lines().find(|l| l.starts_with("cpa")).unwrap();
+        assert!(line.contains("-66.7%"), "{line}");
+        assert!(!line.contains("REGRESSION") && !report.regressed, "{line}");
     }
 
     #[test]

@@ -29,7 +29,12 @@
 //!    disclosure evaluated at checkpoints so MTD is a first-class number.
 //!
 //! [`scenario::run_verdict`] ties it together: identical traces against both mitigation
-//! states of one flow, returning a [`ScaVerdict`]. Every stage is deterministic under a
+//! states of one flow, returning a [`ScaVerdict`]. An attack is two halves: the
+//! [`AttackKernel`] (TSV fields, transient network, the adjoint pass and its weight
+//! matrix), which depends only on the flow, the mitigation and the sensor geometry (its
+//! [`KernelKey`]), and the per-trace run over it ([`run_on_kernel`]: key, workload draws,
+//! sensor noise, CPA). Callers running many attacks on one flow — the sca campaign —
+//! build each distinct kernel once and share it. Every stage is deterministic under a
 //! seed, with per-trace rng streams and a serial trace loop, so results are
 //! bit-identical for any [`tsc3d_exec::Pool`] worker count — the property the campaign
 //! layer's resumable, sharded sca jobs rely on.
@@ -68,8 +73,9 @@ pub(crate) mod obs_metrics {
         pub attacks: tsc3d_obs::Counter,
         /// Simulated traces (observed encryptions) across all attacks.
         pub traces: tsc3d_obs::Counter,
-        /// Transient kernel lane-steps across all attacks (substeps × lanes: one lane
-        /// per sensor for the adjoint engine, per trace for the stepped oracle).
+        /// Transient kernel lane-steps of the passes actually executed (substeps ×
+        /// lanes: one lane per sensor per adjoint kernel build, one per trace for the
+        /// stepped oracle). A kernel shared by several attacks counts once.
         pub transient_steps: tsc3d_obs::Counter,
         /// CPA disclosure checkpoints evaluated.
         pub cpa_checkpoints: tsc3d_obs::Counter,
@@ -104,8 +110,9 @@ pub(crate) mod obs_metrics {
 pub use cpa::{run_cpa, ByteResult, CpaAccumulator, CpaResult, TraceSet};
 pub use scenario::{
     attack_tsv_fields, resolve_target, run_attack, run_attack_with, run_on_flow, run_on_flow_with,
-    run_on_flow_with_cancel, run_verdict, run_verdict_with_cancel, AttackConfig, Mitigation,
-    ScaError, ScaOutcome, ScaVerdict, TargetPolicy, TraceEngine,
+    run_on_flow_with_cancel, run_on_kernel, run_verdict, run_verdict_with_cancel, AttackConfig,
+    AttackKernel, KernelKey, Mitigation, ScaError, ScaOutcome, ScaVerdict, TargetPolicy,
+    TraceEngine,
 };
 pub use sensor::SensorConfig;
 pub use workload::{derive_key, LeakageModel, TraceActivity, Workload, WorkloadConfig, SBOX};
@@ -241,6 +248,56 @@ mod tests {
                 adjoint.transient_steps * lanes,
                 oracle.transient_steps * sensors
             );
+        }
+    }
+
+    #[test]
+    fn kernel_key_ignores_noise_key_and_traces_but_not_geometry_or_mitigation() {
+        let config = test_config();
+        let key = KernelKey::new(&config, Mitigation::Baseline);
+        let mut per_job = config;
+        per_job.sensors.sigma_k *= 3.0;
+        per_job.sensors.quantization_k += 0.01;
+        per_job.traces *= 2;
+        per_job.mtd_checkpoints += 1;
+        per_job.workload.key_bytes = 1;
+        per_job.workload.watts_per_hw *= 2.0;
+        per_job.target = TargetPolicy::HighestPower;
+        assert_eq!(KernelKey::new(&per_job, Mitigation::Baseline), key);
+        assert_ne!(KernelKey::new(&config, Mitigation::DummyTsvs), key);
+        let geometry: [fn(&mut AttackConfig); 5] = [
+            |c| c.grid_bins += 1,
+            |c| c.sensors.die += 1,
+            |c| c.sensors.sensors_per_axis += 1,
+            |c| c.sensors.samples_per_trace += 1,
+            |c| c.sensors.dwell_s *= 2.0,
+        ];
+        for (field, change) in geometry.iter().enumerate() {
+            let mut other = config;
+            change(&mut other);
+            assert_ne!(KernelKey::new(&other, Mitigation::Baseline), key, "{field}");
+        }
+    }
+
+    #[test]
+    fn a_shared_kernel_reproduces_every_unshared_attack_of_its_key() {
+        let (design, flow) = flow_fixture();
+        let config = test_config();
+        let cancel = tsc3d_exec::CancelToken::new();
+        for mitigation in [Mitigation::Baseline, Mitigation::DummyTsvs] {
+            let kernel = AttackKernel::on_flow(design, flow, &config, mitigation).unwrap();
+            for (sigma_k, key_seed) in [(0.004, 11), (0.01, 12)] {
+                let mut job = config;
+                job.sensors.sigma_k = sigma_k;
+                let shared = run_on_kernel(&kernel, flow, &job, 5, key_seed, &cancel).unwrap();
+                let alone = run_on_flow(design, flow, &job, 5, key_seed, mitigation, None).unwrap();
+                assert_eq!(shared, alone, "{mitigation:?} sigma {sigma_k}");
+                assert_eq!(shared.transient_steps, kernel.lane_steps());
+            }
+            let mut other = config;
+            other.sensors.samples_per_trace += 1;
+            let err = run_on_kernel(&kernel, flow, &other, 5, 11, &cancel).unwrap_err();
+            assert!(matches!(err, ScaError::InvalidConfig { .. }));
         }
     }
 

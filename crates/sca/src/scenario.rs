@@ -138,10 +138,8 @@ impl AttackConfig {
     ///
     /// Returns [`ScaError::InvalidConfig`] describing the first problem.
     pub fn validate(&self) -> Result<(), ScaError> {
+        self.validate_geometry()?;
         let fail = |reason: String| Err(ScaError::InvalidConfig { reason });
-        if self.grid_bins < 2 {
-            return fail(format!("grid_bins must be >= 2, got {}", self.grid_bins));
-        }
         if self.traces < 8 {
             return fail(format!("traces must be >= 8, got {}", self.traces));
         }
@@ -160,6 +158,21 @@ impl AttackConfig {
         if self.workload.background_sigma < 0.0 {
             return fail("background_sigma must be non-negative".into());
         }
+        if self.sensors.sigma_k < 0.0 || self.sensors.quantization_k < 0.0 {
+            return fail("sensor sigma and quantization must be non-negative".into());
+        }
+        if self.mtd_checkpoints == 0 {
+            return fail("mtd_checkpoints must be >= 1".into());
+        }
+        Ok(())
+    }
+
+    /// Validates the fields an [`AttackKernel`] depends on (those of its [`KernelKey`]).
+    fn validate_geometry(&self) -> Result<(), ScaError> {
+        let fail = |reason: String| Err(ScaError::InvalidConfig { reason });
+        if self.grid_bins < 2 {
+            return fail(format!("grid_bins must be >= 2, got {}", self.grid_bins));
+        }
         if self.sensors.sensors_per_axis == 0 || self.sensors.samples_per_trace == 0 {
             return fail("the sensor array and sampling must be non-empty".into());
         }
@@ -168,12 +181,6 @@ impl AttackConfig {
                 "dwell_s must be positive and finite, got {}",
                 self.sensors.dwell_s
             ));
-        }
-        if self.sensors.sigma_k < 0.0 || self.sensors.quantization_k < 0.0 {
-            return fail("sensor sigma and quantization must be non-negative".into());
-        }
-        if self.mtd_checkpoints == 0 {
-            return fail("mtd_checkpoints must be >= 1".into());
         }
         Ok(())
     }
@@ -276,7 +283,9 @@ pub struct ScaOutcome {
     /// The module the workload keyed (index into the design's blocks).
     pub target_module: usize,
     /// Transient kernel lane-steps (substeps × lanes): one lane per sensor for the
-    /// adjoint engine, one per trace for the stepped oracle.
+    /// adjoint engine, one per trace for the stepped oracle. For the adjoint engine this
+    /// is the lane-steps of the attack's [`AttackKernel`], also when another attack ran
+    /// the pass and the kernel was shared.
     pub transient_steps: u64,
 }
 
@@ -488,14 +497,15 @@ const CHUNK_TRACES: usize = 8;
 /// recovered bytes, target — are equivalence-tested equal for both mitigation states.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum TraceEngine {
-    /// One adjoint kernel pass per attack
-    /// ([`BatchTransientSolver::step_response`], one lane per sensor), projected once
-    /// onto the floorplan's [`PowerStamps`]; each trace then costs `modules × points`
+    /// One [`AttackKernel`] per attack — a single adjoint pass
+    /// ([`BatchTransientSolver::step_response`], one lane per sensor) projected onto the
+    /// floorplan's [`PowerStamps`]; each trace then costs `modules × points`
     /// multiply-adds.
     #[default]
     Adjoint,
     /// Every trace's transient integrated through the grid, `batch_traces` traces in
-    /// lockstep: the oracle the adjoint engine is tested and benchmarked against.
+    /// lockstep: the oracle the adjoint engine is tested and benchmarked against. Never
+    /// memoized: each attack builds and integrates its own network.
     Stepped {
         /// Traces per lockstep batch (at least 1); also the checkpoint chunk.
         batch_traces: usize,
@@ -510,6 +520,219 @@ fn trace_seed(seed: u64, trace: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// The [`AttackConfig`] fields a kernel depends on: the analysis grid and the sensor
+/// array's die, size, sampling and dwell.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct KernelGeometry {
+    grid_bins: usize,
+    die: usize,
+    sensors_per_axis: usize,
+    samples_per_trace: usize,
+    dwell_bits: u64,
+}
+
+impl KernelGeometry {
+    fn of(config: &AttackConfig) -> Self {
+        Self {
+            grid_bins: config.grid_bins,
+            die: config.sensors.die,
+            sensors_per_axis: config.sensors.sensors_per_axis,
+            samples_per_trace: config.sensors.samples_per_trace,
+            dwell_bits: config.sensors.dwell_s.to_bits(),
+        }
+    }
+}
+
+/// Identifies the [`AttackKernel`] of an attack on a given flow: the mitigation state
+/// plus `grid_bins` and the sensors' `die`, `sensors_per_axis`, `samples_per_trace` and
+/// `dwell_s`.
+///
+/// Sensor noise and quantization, the key, the trace count, the disclosure checkpoints,
+/// the workload and the target policy only enter the per-trace half of an attack, so
+/// attacks that differ only in those share one kernel.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct KernelKey {
+    mitigation: Mitigation,
+    geometry: KernelGeometry,
+}
+
+impl KernelKey {
+    /// The key of `config`'s kernel against `mitigation`.
+    pub fn new(config: &AttackConfig, mitigation: Mitigation) -> Self {
+        Self {
+            mitigation,
+            geometry: KernelGeometry::of(config),
+        }
+    }
+}
+
+/// The thermal half of an attack: the adjoint weight matrix `W` (`points × modules`, in
+/// K/W) of one floorplan, TSV field set and sensor geometry, so that a trace's noise-free
+/// readings are `ambient + W·powers`.
+///
+/// A kernel is one [`BatchTransientSolver::step_response`] pass. It does not depend on
+/// the key, the workload or the sensor noise (see [`KernelKey`]), so every attack on the
+/// same flow with the same key can run over one shared kernel via [`run_on_kernel`].
+#[derive(Debug)]
+pub struct AttackKernel {
+    geometry: KernelGeometry,
+    modules: usize,
+    weights: Vec<f64>,
+    ambient: f64,
+    lane_steps: u64,
+}
+
+impl AttackKernel {
+    /// Builds the kernel of `config`'s geometry against `mitigation` of `flow`'s
+    /// floorplan (the TSV fields of [`attack_tsv_fields`]).
+    ///
+    /// # Errors
+    ///
+    /// [`ScaError::InvalidConfig`] for an invalid geometry or sensor die,
+    /// [`ScaError::Solve`] when the transient network rejects the TSV fields.
+    pub fn on_flow(
+        design: &Design,
+        flow: &FlowResult,
+        config: &AttackConfig,
+        mitigation: Mitigation,
+    ) -> Result<Self, ScaError> {
+        config.validate_geometry()?;
+        let grid = flow.floorplan().analysis_grid(config.grid_bins);
+        let fields = attack_tsv_fields(design, flow, grid, mitigation);
+        Ok(Network::build(flow.floorplan(), &fields, config)?.kernel())
+    }
+
+    /// Kernel lane-steps of the pass that built this kernel (substeps × sensors).
+    pub fn lane_steps(&self) -> u64 {
+        self.lane_steps
+    }
+
+    /// Rejects a run whose configuration or floorplan does not match the kernel.
+    fn check(&self, config: &AttackConfig, modules: usize) -> Result<(), ScaError> {
+        if KernelGeometry::of(config) != self.geometry || modules != self.modules {
+            return Err(ScaError::InvalidConfig {
+                reason: "the attack kernel was built for another sensor geometry or floorplan"
+                    .into(),
+            });
+        }
+        Ok(())
+    }
+
+    /// Noise-free readings of a chunk of traces, written trace-major.
+    fn readings(&self, powers: &[Vec<f64>], truth: &mut [f64]) {
+        let points = self.weights.len() / self.modules;
+        for (p, out) in powers.iter().zip(truth.chunks_exact_mut(points)) {
+            for (value, w) in out.iter_mut().zip(self.weights.chunks_exact(p.len())) {
+                *value = self.ambient + w.iter().zip(p).map(|(w, p)| w * p).sum::<f64>();
+            }
+        }
+    }
+}
+
+/// The transient network of one attack: the solver on the attack grid with its TSV
+/// fields, the floorplan's power stamps and the sensor sampling. The adjoint engine
+/// turns it into an [`AttackKernel`]; the stepped oracle integrates it per trace.
+struct Network {
+    geometry: KernelGeometry,
+    solver: BatchTransientSolver,
+    stamps: PowerStamps,
+    positions: Vec<GridPos>,
+    sample_dt: f64,
+}
+
+impl Network {
+    fn build(
+        floorplan: &Floorplan,
+        tsv_fields: &[TsvField],
+        config: &AttackConfig,
+    ) -> Result<Self, ScaError> {
+        let sensors = config.sensors;
+        if sensors.die >= floorplan.stack().dies() {
+            return Err(ScaError::InvalidConfig {
+                reason: format!(
+                    "sensor die {} outside the {}-die stack",
+                    sensors.die,
+                    floorplan.stack().dies()
+                ),
+            });
+        }
+        let _span = tsc3d_obs::span!("network_build");
+        let grid = floorplan.analysis_grid(config.grid_bins);
+        let thermal_config = ThermalConfig::default_for(floorplan.stack());
+        let solver = TransientSolver::new(&thermal_config, grid, tsv_fields)?;
+        Ok(Self {
+            geometry: KernelGeometry::of(config),
+            solver: BatchTransientSolver::new(Arc::new(solver)),
+            stamps: floorplan.power_stamps(grid),
+            positions: sensors.positions(grid),
+            sample_dt: sensors.dwell_s / sensors.samples_per_trace as f64,
+        })
+    }
+
+    /// The adjoint pass: one lane per sensor, projected onto the power stamps.
+    fn kernel(&self) -> AttackKernel {
+        let _span = tsc3d_obs::span!("sca_kernel");
+        let die = self.geometry.die;
+        let sources: Vec<(usize, GridPos)> = self.positions.iter().map(|&pos| (die, pos)).collect();
+        let samples = self.geometry.samples_per_trace;
+        let response = self.solver.step_response(&sources, self.sample_dt, samples);
+        let mut weights = Vec::new();
+        for sample in 0..samples {
+            for source in 0..sources.len() {
+                weights.extend(self.stamps.block_weights(response.weights(sample, source)));
+            }
+        }
+        let lane_steps = response.lane_steps();
+        tsc3d_obs::add_to_span("transient_steps", lane_steps);
+        crate::obs_metrics::get().transient_steps.add(lane_steps);
+        AttackKernel {
+            geometry: self.geometry,
+            modules: weights.len() / (samples * sources.len()),
+            weights,
+            ambient: self.solver.inner().ambient(),
+            lane_steps,
+        }
+    }
+
+    /// Stepped readings (the oracle): the whole chunk integrated in lockstep, one lane per
+    /// trace. Returns the lane-steps taken.
+    fn stepped_readings(&self, powers: &[Vec<f64>], truth: &mut [f64]) -> u64 {
+        let _span = tsc3d_obs::span!("sca_kernel");
+        let lanes = powers.len();
+        let sensors = self.positions.len();
+        let points = self.geometry.samples_per_trace * sensors;
+        let mut state = self.solver.state(lanes);
+        let mut maps: Vec<GridMap> = Vec::new();
+        for (lane, p) in powers.iter().enumerate() {
+            self.stamps.power_maps_into(p, &mut maps);
+            self.solver
+                .set_power(&mut state, lane, &maps)
+                .expect("power stamps are built on the solver grid");
+        }
+        let mut steps = 0u64;
+        for sample in 0..self.geometry.samples_per_trace {
+            steps += self.solver.advance(&mut state, self.sample_dt) as u64 * lanes as u64;
+            for lane in 0..lanes {
+                for (s, &pos) in self.positions.iter().enumerate() {
+                    truth[lane * points + sample * sensors + s] =
+                        self.solver
+                            .temperature_at(&state, lane, self.geometry.die, pos);
+                }
+            }
+        }
+        tsc3d_obs::add_to_span("transient_steps", steps);
+        crate::obs_metrics::get().transient_steps.add(steps);
+        steps
+    }
+}
+
+/// Where an attack's noise-free readings come from.
+#[derive(Clone, Copy)]
+enum Thermal<'a> {
+    Adjoint(&'a AttackKernel),
+    Stepped(&'a Network, usize),
 }
 
 /// Runs one attack evaluation against explicit TSV fields.
@@ -549,144 +772,6 @@ pub fn run_attack(
     )
 }
 
-/// The validated, target-resolved inputs shared by both trace engines.
-struct AttackSetup {
-    solver: BatchTransientSolver,
-    stamps: PowerStamps,
-    target: usize,
-    key: Vec<u8>,
-    workload: Workload,
-    sensors: SensorConfig,
-    positions: Vec<GridPos>,
-    sample_dt: f64,
-}
-
-/// The thermal half of an attack: noise-free sensor readings of a chunk of traces from
-/// their block powers, written trace-major (`trace · points + sample · sensors + sensor`).
-impl AttackSetup {
-    /// The adjoint engine's `points × modules` weight matrix — one kernel pass, projected
-    /// onto the power stamps — and the pass's lane-steps.
-    fn adjoint_weights(&self) -> (Vec<f64>, u64) {
-        let _span = tsc3d_obs::span!("sca_kernel");
-        let sources: Vec<(usize, GridPos)> = self
-            .positions
-            .iter()
-            .map(|&pos| (self.sensors.die, pos))
-            .collect();
-        let samples = self.sensors.samples_per_trace;
-        let response = self.solver.step_response(&sources, self.sample_dt, samples);
-        let mut weights = Vec::new();
-        for sample in 0..samples {
-            for source in 0..sources.len() {
-                weights.extend(self.stamps.block_weights(response.weights(sample, source)));
-            }
-        }
-        tsc3d_obs::add_to_span("transient_steps", response.lane_steps());
-        (weights, response.lane_steps())
-    }
-
-    /// Adjoint readings: `ambient + W·powers` per trace and point.
-    fn adjoint_readings(&self, weights: &[f64], powers: &[Vec<f64>], truth: &mut [f64]) {
-        let ambient = self.solver.inner().ambient();
-        let points = self.sensors.points();
-        for (p, out) in powers.iter().zip(truth.chunks_exact_mut(points)) {
-            for (value, w) in out.iter_mut().zip(weights.chunks_exact(p.len())) {
-                *value = ambient + w.iter().zip(p).map(|(w, p)| w * p).sum::<f64>();
-            }
-        }
-    }
-
-    /// Stepped readings (the oracle): the whole chunk integrated in lockstep, one lane per
-    /// trace. Returns the lane-steps taken.
-    fn stepped_readings(&self, powers: &[Vec<f64>], truth: &mut [f64]) -> u64 {
-        let _span = tsc3d_obs::span!("sca_kernel");
-        let lanes = powers.len();
-        let points = self.sensors.points();
-        let mut state = self.solver.state(lanes);
-        let mut maps: Vec<GridMap> = Vec::new();
-        for (lane, p) in powers.iter().enumerate() {
-            self.stamps.power_maps_into(p, &mut maps);
-            self.solver
-                .set_power(&mut state, lane, &maps)
-                .expect("power stamps are built on the solver grid");
-        }
-        let mut steps = 0u64;
-        for sample in 0..self.sensors.samples_per_trace {
-            steps += self.solver.advance(&mut state, self.sample_dt) as u64 * lanes as u64;
-            for lane in 0..lanes {
-                for (s, &pos) in self.positions.iter().enumerate() {
-                    truth[lane * points + sample * self.positions.len() + s] = self
-                        .solver
-                        .temperature_at(&state, lane, self.sensors.die, pos);
-                }
-            }
-        }
-        tsc3d_obs::add_to_span("transient_steps", steps);
-        steps
-    }
-}
-
-/// Validates the configuration and resolves everything both engines share: the
-/// (once-per-mitigation-state) transient network and power stamps, the attacked module,
-/// the key and the sensor positions.
-fn prepare_attack(
-    floorplan: &Floorplan,
-    nominal_powers: &[f64],
-    tsv_fields: &[TsvField],
-    stability: Option<&tsc3d_leakage::StabilityMap>,
-    config: &AttackConfig,
-    key_seed: u64,
-) -> Result<AttackSetup, ScaError> {
-    config.validate()?;
-    if config.sensors.die >= floorplan.stack().dies() {
-        return Err(ScaError::InvalidConfig {
-            reason: format!(
-                "sensor die {} outside the {}-die stack",
-                config.sensors.die,
-                floorplan.stack().dies()
-            ),
-        });
-    }
-    let grid = floorplan.analysis_grid(config.grid_bins);
-    let (solver, stamps) = {
-        let _span = tsc3d_obs::span!("network_build");
-        let thermal_config = ThermalConfig::default_for(floorplan.stack());
-        let solver = TransientSolver::new(&thermal_config, grid, tsv_fields)?;
-        (
-            BatchTransientSolver::new(Arc::new(solver)),
-            floorplan.power_stamps(grid),
-        )
-    };
-    let target = {
-        let _span = tsc3d_obs::span!("resolve_target");
-        resolve_target(
-            config.target,
-            floorplan,
-            nominal_powers,
-            config.sensors.die,
-            grid,
-            stability,
-        )?
-    };
-    let key = derive_key(key_seed, config.workload.key_bytes);
-    let workload = Workload::new(
-        config.workload,
-        key.clone(),
-        nominal_powers.to_vec(),
-        target,
-    );
-    Ok(AttackSetup {
-        solver,
-        stamps,
-        target,
-        key,
-        workload,
-        sensors: config.sensors,
-        positions: config.sensors.positions(grid),
-        sample_dt: config.sensors.dwell_s / config.sensors.samples_per_trace as f64,
-    })
-}
-
 /// [`run_attack`] with an explicit [`TraceEngine`] — the extension point the bench
 /// harness and the equivalence tests use to select the stepped oracle.
 ///
@@ -718,8 +803,8 @@ pub fn run_attack_with(
     )
 }
 
-/// The cancellable core behind every attack entry point: polls `cancel` at the
-/// `sca-batch` checkpoint once per trace chunk.
+/// Builds the attack's network, then runs it: over its [`AttackKernel`] for the adjoint
+/// engine, integrated per trace for the stepped oracle.
 #[allow(clippy::too_many_arguments)]
 fn run_attack_impl(
     floorplan: &Floorplan,
@@ -732,33 +817,112 @@ fn run_attack_impl(
     engine: TraceEngine,
     cancel: &CancelToken,
 ) -> Result<ScaOutcome, ScaError> {
-    let _span = tsc3d_obs::span!("sca_attack");
     if let TraceEngine::Stepped { batch_traces: 0 } = engine {
         return Err(ScaError::InvalidConfig {
             reason: "batch_traces must be >= 1".into(),
         });
     }
-    let setup = prepare_attack(
+    config.validate()?;
+    let network = Network::build(floorplan, tsv_fields, config)?;
+    let kernel;
+    let thermal = match engine {
+        TraceEngine::Adjoint => {
+            kernel = network.kernel();
+            Thermal::Adjoint(&kernel)
+        }
+        TraceEngine::Stepped { batch_traces } => Thermal::Stepped(&network, batch_traces),
+    };
+    run_traces(
+        thermal,
         floorplan,
         nominal_powers,
-        tsv_fields,
         stability,
         config,
+        seed,
         key_seed,
-    )?;
+        cancel,
+    )
+}
+
+/// Runs one attack over a prebuilt [`AttackKernel`] of `flow` — the per-job half of an
+/// attack: target, key, workload draws, this job's sensor noise and quantization, CPA.
+/// Polls `cancel` at the `sca-batch` checkpoint once per 8-trace chunk.
+///
+/// The outcome is bit-identical to [`run_on_flow_with_cancel`] with the kernel's
+/// mitigation, and its `transient_steps` is the kernel's [`AttackKernel::lane_steps`]
+/// whichever attack built the kernel.
+///
+/// # Errors
+///
+/// See [`run_attack`]; [`ScaError::InvalidConfig`] when `config`'s [`KernelKey`]
+/// geometry differs from the kernel's; and [`ScaError::Cancelled`],
+/// [`ScaError::DeadlineExceeded`] or [`ScaError::Fault`] when the token fires.
+pub fn run_on_kernel(
+    kernel: &AttackKernel,
+    flow: &FlowResult,
+    config: &AttackConfig,
+    seed: u64,
+    key_seed: u64,
+    cancel: &CancelToken,
+) -> Result<ScaOutcome, ScaError> {
+    run_traces(
+        Thermal::Adjoint(kernel),
+        flow.floorplan(),
+        &flow.scaled_powers,
+        flow.post_process.as_ref().map(|pp| &pp.stability),
+        config,
+        seed,
+        key_seed,
+        cancel,
+    )
+}
+
+/// The per-trace half every attack entry point shares: resolves the target and the key,
+/// then draws, reads, acquires and folds the traces chunk by chunk, polling `cancel` at
+/// the `sca-batch` checkpoint once per chunk.
+#[allow(clippy::too_many_arguments)]
+fn run_traces(
+    thermal: Thermal<'_>,
+    floorplan: &Floorplan,
+    nominal_powers: &[f64],
+    stability: Option<&tsc3d_leakage::StabilityMap>,
+    config: &AttackConfig,
+    seed: u64,
+    key_seed: u64,
+    cancel: &CancelToken,
+) -> Result<ScaOutcome, ScaError> {
+    let _span = tsc3d_obs::span!("sca_attack");
+    config.validate()?;
+    let (chunk, mut transient_steps) = match thermal {
+        Thermal::Adjoint(kernel) => {
+            kernel.check(config, nominal_powers.len())?;
+            (CHUNK_TRACES, kernel.lane_steps)
+        }
+        Thermal::Stepped(_, batch_traces) => (batch_traces, 0),
+    };
+    let target = {
+        let _span = tsc3d_obs::span!("resolve_target");
+        resolve_target(
+            config.target,
+            floorplan,
+            nominal_powers,
+            config.sensors.die,
+            floorplan.analysis_grid(config.grid_bins),
+            stability,
+        )?
+    };
+    let key = derive_key(key_seed, config.workload.key_bytes);
+    let workload = Workload::new(
+        config.workload,
+        key.clone(),
+        nominal_powers.to_vec(),
+        target,
+    );
     let sensors = config.sensors;
     let points = sensors.points();
-    let (adjoint, chunk, mut transient_steps) = match engine {
-        TraceEngine::Adjoint => {
-            let (weights, steps) = setup.adjoint_weights();
-            (Some(weights), CHUNK_TRACES, steps)
-        }
-        TraceEngine::Stepped { batch_traces } => (None, batch_traces, 0),
-    };
-
     let key_bytes = config.workload.key_bytes;
     let mut cpa = CpaAccumulator::new(
-        &setup.key,
+        &key,
         config.workload.leakage,
         points,
         config.traces,
@@ -779,14 +943,16 @@ fn run_attack_impl(
             rngs.clear();
             for trace in lo..lo + traces {
                 let mut rng = ChaCha8Rng::seed_from_u64(trace_seed(seed, trace as u64));
-                let activity = setup.workload.draw_trace(&mut rng);
+                let activity = workload.draw_trace(&mut rng);
                 plaintexts.extend_from_slice(&activity.plaintexts);
                 powers.push(activity.powers);
                 rngs.push(rng);
             }
-            match &adjoint {
-                Some(weights) => setup.adjoint_readings(weights, &powers, samples),
-                None => transient_steps += setup.stepped_readings(&powers, samples),
+            match thermal {
+                Thermal::Adjoint(kernel) => kernel.readings(&powers, samples),
+                Thermal::Stepped(network, _) => {
+                    transient_steps += network.stepped_readings(&powers, samples)
+                }
             }
             // The acquisition chain per trace, per sample, per sensor: each trace's rng
             // continues where its draw left off.
@@ -805,18 +971,15 @@ fn run_attack_impl(
             cpa.push(text, trace);
         }
     }
-    let outcome = ScaOutcome {
-        cpa: cpa.finish(),
-        target_module: setup.target,
-        transient_steps,
-    };
     let metrics = crate::obs_metrics::get();
     metrics.attacks.inc();
     metrics.traces.add(config.traces as u64);
-    metrics.transient_steps.add(outcome.transient_steps);
     tsc3d_obs::add_to_span("traces", config.traces as u64);
-    tsc3d_obs::add_to_span("transient_steps", outcome.transient_steps);
-    Ok(outcome)
+    Ok(ScaOutcome {
+        cpa: cpa.finish(),
+        target_module: target,
+        transient_steps,
+    })
 }
 
 /// Runs one attack evaluation out of a [`FlowResult`], against the chosen mitigation
@@ -968,8 +1131,8 @@ pub fn run_verdict(
 /// # Errors
 ///
 /// See [`run_attack`]; additionally [`ScaError::Cancelled`],
-/// [`ScaError::DeadlineExceeded`] or [`ScaError::Fault`] when the token (or an armed
-/// fault plan) fires mid-attack.
+/// [`ScaError::DeadlineExceeded`] or [`ScaError::Fault`] when the token (or its fault
+/// plan) fires mid-attack.
 pub fn run_verdict_with_cancel(
     design: &Design,
     flow: &FlowResult,
